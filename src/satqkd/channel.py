@@ -67,9 +67,12 @@ class OpticsConfig:
 class RadianceSchedule:
     """Background-flux multipliers for the four 6-hour intervals of a day.
 
-    Intervals start at 12am, 6am, 12pm, and 6pm local time.  The default
-    scales are invented calibration values, not measurements; they are chosen
-    so a default day shows bright-noon / dim-night contrast.
+    Intervals start at 00:00, 06:00, 12:00 and 18:00 of simulation time,
+    whose origin t = 0 is midnight UTC (the orbit frame is aligned with the
+    Greenwich meridian then), not the local time of either station; both
+    stations of a pair share one interval and so one background level.  The
+    default scales are invented calibration values, not measurements; they
+    are chosen so a default day shows bright-noon / dim-night contrast.
     """
 
     interval_scales: tuple[float, float, float, float] = (1.0, 20.0, 100.0, 1.0)

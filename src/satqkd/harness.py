@@ -1,14 +1,29 @@
 """Experiment orchestration and flat-file I/O.
 
-Traces are generated with vectorized geometry (chunked over time so memory
-stays flat), then handed to the strategy layer.  All outputs are CSV with a
-leading comment block that records the resolved config hash, so results are
-attributable to the exact configuration that produced them.
+A trace picks, every time step, the satellite visible from both stations
+that delivers the highest fidelity.  `run_trace` finds it with an exact
+coarse-to-fine search instead of evaluating all satellites every step:
+
+- coarse: the constellation is propagated once per window of `_WINDOW`
+  steps, at the window's centre.  A (window, satellite) pair is kept only
+  if the satellite lies inside both stations' visibility cones, each
+  widened by the angle it can turn through in half a window,
+  `max_angle_rate * (_WINDOW - 1) / 2 * time_step`, plus a float guard
+  (see the `orbit` module docstring).  No satellite outside the widened
+  cones can be visible anywhere in the window, so pruning drops nothing.
+- fine: each kept pair gets per-step positions, elevations and the link
+  budget, through the same `orbit` and `channel` functions and in the same
+  element-wise arithmetic as an evaluation of every satellite, so the
+  samples are bit-identical to that brute-force search.
+
+Windows are handled in batches so memory stays flat over long horizons.
+The trace is then handed to the strategy layer.  All outputs are CSV with
+a leading comment block that records the resolved config hash, so results
+are attributable to the exact configuration that produced them.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
@@ -17,7 +32,7 @@ import numpy as np
 
 from . import channel as ch
 from . import orbit
-from .channel import LinkSample
+from .channel import FIDELITY_FLOOR, LinkSample
 from .config import ConfigError, ExperimentConfig
 from .strategy import (
     BlockingPolicy,
@@ -28,7 +43,9 @@ from .strategy import (
     improvement,
 )
 
-_TIME_CHUNK = 4096
+_WINDOW = 60  # time steps per coarse window
+_BATCH_WINDOWS = 64  # coarse windows per batch
+_ANGLE_GUARD = 1e-6  # rad; covers rounding in the cone test
 
 TRACE_COLUMNS = "time_s,sat_ring,sat_slot,fidelity,sifted_bits"
 RESULT_COLUMNS = "pair,altitude_m,strategy,secret_bits,threshold,improvement_pct,normalized_bits"
@@ -52,67 +69,121 @@ def pair_name(pair: tuple[str, str]) -> str:
 def run_trace(
     config: ExperimentConfig, pair: tuple[str, str], altitude: float
 ) -> FidelityTrace:
-    """Per-second link samples for one station pair at one altitude."""
-    gs_a = config.station(pair[0])
-    gs_b = config.station(pair[1])
+    """Per-second link samples for one station pair at one altitude.
+
+    Each step is served by the satellite of highest delivered fidelity
+    among those at or above `min_elevation` from both stations; ties go to
+    the lowest ring-major index.
+    """
     const = config.constellation_at(altitude)
-    chan = config.channel
-    optics = chan.optics
-    sta = orbit.station_ecef(gs_a)
-    stb = orbit.station_ecef(gs_b)
-
+    stations = [orbit.station_ecef(config.station(name)) for name in pair]
     n_steps = int(round(config.horizon / config.time_step))
-    times_all = np.arange(n_steps) * config.time_step
-    samples: list[LinkSample] = []
+    times = np.arange(n_steps) * config.time_step
+    p_click = _click_probs(times, config.channel)
 
-    for start in range(0, n_steps, _TIME_CHUNK):
-        times = times_all[start : start + _TIME_CHUNK]
-        pos = orbit.propagate_positions(const, times)
-        el_a = orbit.elevation_deg(pos, sta)
-        el_b = orbit.elevation_deg(pos, stb)
-        mask = (el_a >= config.min_elevation) & (el_b >= config.min_elevation)
+    best = np.full(n_steps, -1)
+    fid = np.zeros(n_steps)
+    bits = np.zeros(n_steps)
+    batch = _WINDOW * _BATCH_WINDOWS
+    for start in range(0, n_steps, batch):
+        steps, sats = _candidates(config, const, stations, start, min(start + batch, n_steps))
+        if len(steps):
+            served, sat, f, b = _best_links(config, const, stations, times, p_click, steps, sats)
+            best[served], fid[served], bits[served] = sat, f, b
 
-        # dummy elevations keep the transmissivity math in-domain off-mask
-        el_a_safe = np.where(mask, el_a, 45.0)
-        el_b_safe = np.where(mask, el_b, 45.0)
-        eta_a = ch.arm_transmissivity(
-            orbit.slant_range_from_elevation(el_a_safe, altitude),
-            np.radians(90.0 - el_a_safe),
-            optics,
-        )
-        eta_b = ch.arm_transmissivity(
-            orbit.slant_range_from_elevation(el_b_safe, altitude),
-            np.radians(90.0 - el_b_safe),
-            optics,
-        )
-        p_click = np.array(
-            [
-                ch.background_click_prob(t, chan.radiance, chan.base_background_flux, optics)
-                for t in times
-            ]
-        )[:, None]
-        p_signal = eta_a * eta_b
-        p_acc = ch.accidental_prob(p_click, p_click, eta_a, eta_b)
-        fid = ch.delivered_fidelity(p_signal, p_acc, chan.source.source_fidelity)
-        sifted = chan.source.pair_rate * (p_signal + p_acc) * chan.basis_sift_factor
-
-        fid_masked = np.where(mask, fid, -1.0)
-        best = np.argmax(fid_masked, axis=1)
-        has_link = mask.any(axis=1)
-        for i, t in enumerate(times):
-            if has_link[i]:
-                j = int(best[i])
-                samples.append(
-                    LinkSample(
-                        time=float(t),
-                        fidelity=float(fid[i, j]),
-                        sifted_bits=float(sifted[i, j]),
-                        sat=divmod(j, const.sats_per_ring),
-                    )
-                )
-            else:
-                samples.append(LinkSample(time=float(t), fidelity=None, sifted_bits=0.0, sat=None))
+    per_ring = const.sats_per_ring
+    samples = [
+        LinkSample(time=t, fidelity=f, sifted_bits=b, sat=divmod(j, per_ring))
+        if j >= 0
+        else LinkSample(time=t, fidelity=None, sifted_bits=0.0, sat=None)
+        for t, j, f, b in zip(times.tolist(), best.tolist(), fid.tolist(), bits.tolist())
+    ]
     return FidelityTrace(pair=pair_name(pair), samples=samples, horizon=config.horizon)
+
+
+def _click_probs(times: np.ndarray, chan: ch.ChannelParams) -> np.ndarray:
+    """Noise-click probability at each time, one evaluation per radiance interval.
+
+    `background_click_prob` depends on t only through the radiance
+    interval, so each interval's value is computed at its start.
+    """
+    interval = (times // ch.INTERVAL_SECONDS).astype(np.int64)
+    per_interval = np.array(
+        [
+            ch.background_click_prob(
+                float(k * ch.INTERVAL_SECONDS), chan.radiance, chan.base_background_flux,
+                chan.optics,
+            )
+            for k in range(int(interval[-1]) + 1)
+        ]
+    )
+    return per_interval[interval]
+
+
+def _candidates(config, const, stations, start, stop):
+    """Coarse pass over steps [start, stop): the (step, satellite) pairs whose
+    satellite is inside both widened cones at its window's centre."""
+    reach = (
+        orbit.coverage_half_angle(const.altitude, config.min_elevation)
+        + orbit.max_angle_rate(const.altitude) * (_WINDOW - 1) / 2 * config.time_step
+        + _ANGLE_GUARD
+    )
+    first = np.arange(start, stop, _WINDOW)
+    last = np.minimum(first + _WINDOW, stop) - 1
+    pos = orbit.propagate_positions(const, (first + last) / 2 * config.time_step)
+    limit = math.cos(min(reach, math.pi)) * np.linalg.norm(pos, axis=-1)
+    near = np.ones(pos.shape[:2], dtype=bool)
+    for station in stations:
+        near &= pos @ (station / np.linalg.norm(station)) >= limit
+    win, sats = np.nonzero(near)
+    # expand each kept (window, satellite) to every step of its window
+    counts = last[win] - first[win] + 1
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(first[win], counts) + offsets, np.repeat(sats, counts)
+
+
+def _elevations(pos: np.ndarray, station: np.ndarray) -> np.ndarray:
+    """`orbit.elevation_deg` over a flat (K, 3) batch.
+
+    numpy evaluates a one-row matmul with a dot-product kernel whose last
+    bit can differ from the matrix-vector kernel every larger batch uses,
+    so a single row is padded to two.
+    """
+    if len(pos) == 1:
+        return orbit.elevation_deg(np.concatenate([pos, pos]), station)[:1]
+    return orbit.elevation_deg(pos, station)
+
+
+def _arm(el: np.ndarray, altitude: float, optics) -> np.ndarray:
+    return ch.arm_transmissivity(
+        orbit.slant_range_from_elevation(el, altitude), np.radians(90.0 - el), optics
+    )
+
+
+def _best_links(config, const, stations, times, p_click, steps, sats):
+    """Fine pass over candidate (step, satellite) pairs: the link budget of
+    every dual-visible pair, then the best satellite of each step.
+
+    Returns the served steps and their satellite, fidelity and sifted bits.
+    """
+    chan = config.channel
+    pos = orbit.sat_positions(const, times[steps], sats)
+    el_a, el_b = (_elevations(pos, station) for station in stations)
+    mask = (el_a >= config.min_elevation) & (el_b >= config.min_elevation)
+    steps, sats, el_a, el_b = steps[mask], sats[mask], el_a[mask], el_b[mask]
+
+    eta_a = _arm(el_a, const.altitude, chan.optics)
+    eta_b = _arm(el_b, const.altitude, chan.optics)
+    p = p_click[steps]
+    p_signal = eta_a * eta_b
+    p_acc = ch.accidental_prob(p, p, eta_a, eta_b)
+    fid = ch.delivered_fidelity(p_signal, p_acc, chan.source.source_fidelity)
+    bits = chan.source.pair_rate * (p_signal + p_acc) * chan.basis_sift_factor
+
+    # per step: highest fidelity, then lowest index (np.argmax's tie rule)
+    order = np.lexsort((sats, -fid, steps))
+    lead = order[np.diff(steps[order], prepend=-1) != 0]
+    return steps[lead], sats[lead], fid[lead], bits[lead]
 
 
 def _threshold_summary(outcome: StrategyOutcome) -> str:
@@ -149,8 +220,9 @@ def _rows_for_cell(
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Full sweep: every pair at every altitude, all strategies.
 
-    Failures in a single (pair, altitude) cell become an NA row; the sweep
-    continues.  Rows come out in (pair, altitude, strategy) order with
+    A data or domain error (ValueError, which covers NoDataError and
+    ConfigError) in a single (pair, altitude) cell becomes an NA row and the
+    sweep continues; any other exception is a bug and propagates.  Rows come out in (pair, altitude, strategy) order with
     normalized_bits filled per altitude group.
     """
     rows: list[ResultRow] = []
@@ -173,7 +245,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                             best = outcome
                     outcomes["best-block"] = best
                 rows.extend(_rows_for_cell(pair, altitude, outcomes))
-            except Exception:  # noqa: BLE001 - cell isolation is deliberate
+            except ValueError:  # a data or domain error isolates the cell
                 rows.append(
                     ResultRow(
                         pair=pair_name(pair),
@@ -238,7 +310,10 @@ def emit_trace_csv(trace: FidelityTrace, path, meta: dict | None = None) -> None
 
 
 def read_trace_csv(path) -> tuple[FidelityTrace, dict]:
-    """Re-ingest a trace CSV; returns the trace and its header metadata."""
+    """Re-ingest a trace CSV; returns the trace and its header metadata.
+
+    A malformed row raises ConfigError naming its line.
+    """
     meta = {}
     samples = []
     try:
@@ -246,29 +321,41 @@ def read_trace_csv(path) -> tuple[FidelityTrace, dict]:
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
     with fh:
-        data_lines = []
-        for line in fh:
+        header = None
+        previous = -math.inf
+        for number, line in enumerate(fh, start=1):
             if line.startswith("#"):
                 _meta(line, meta)
-            else:
-                data_lines.append(line)
-        reader = csv.reader(data_lines)
-        header = next(reader, None)
-        if header is None or ",".join(header) != TRACE_COLUMNS:
-            raise ConfigError(f"{path}: not a trace CSV (bad or missing header)")
-        for row in reader:
-            time_s = float(row[0])
-            if row[1] == "":
-                samples.append(LinkSample(time=time_s, fidelity=None, sifted_bits=float(row[4]), sat=None))
-            else:
-                samples.append(
-                    LinkSample(
-                        time=time_s,
-                        fidelity=float(row[3]),
-                        sifted_bits=float(row[4]),
-                        sat=(int(row[1]), int(row[2])),
-                    )
+                continue
+            if header is None:
+                header = line.rstrip("\r\n")
+                if header != TRACE_COLUMNS:
+                    break
+                continue
+            try:
+                time_s, ring, slot, fidelity, bits = line.split(",")
+                time_s, bits = float(time_s), float(bits)
+                if ring == slot == fidelity == "":
+                    sat = fidelity = None
+                else:
+                    ring, slot, fidelity = int(ring), int(slot), float(fidelity)
+                    sat = (ring, slot)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: line {number}: {exc}") from None
+            # one chained test per row keeps reading as fast as it was unchecked
+            if not (
+                previous < time_s < math.inf
+                and 0.0 <= bits < math.inf
+                and (sat is None or (ring >= 0 and slot >= 0 and FIDELITY_FLOOR <= fidelity <= 1.0))
+            ):
+                raise ConfigError(
+                    f"{path}: line {number}: need finite increasing time_s, finite "
+                    "sifted_bits >= 0, sat_ring and sat_slot >= 0 and fidelity in [0.25, 1]"
                 )
+            previous = time_s
+            samples.append(LinkSample(time=time_s, fidelity=fidelity, sifted_bits=bits, sat=sat))
+    if header != TRACE_COLUMNS:
+        raise ConfigError(f"{path}: not a trace CSV (bad or missing header)")
     horizon = float(meta.get("horizon_s", samples[-1].time + 1 if samples else 0))
     return FidelityTrace(pair=meta.get("pair", "unknown"), samples=samples, horizon=horizon), meta
 

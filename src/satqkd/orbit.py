@@ -5,6 +5,16 @@ constellation is a "star" pattern: ring ascending nodes are spread over
 `raan_span` radians (default pi) and each ring holds equally spaced
 satellites.  Positions are returned in an Earth-fixed frame; at t = 0 the
 node line of ring 0 is aligned with the Greenwich meridian.
+
+Visibility bounds for a coarse-to-fine search.  A satellite at altitude h
+is at elevation >= e_min from a station exactly when the angle at Earth's
+centre between the two is at most the cone half-angle
+`pi/2 - e_min - asin(R cos e_min / (R + h))` (`coverage_half_angle`).  In
+the Earth-fixed frame the satellite's direction turns at most at the
+orbital rate plus Earth's rotation rate, `2 pi / T + omega_E`
+(`max_angle_rate`), so over dt seconds that angle moves by at most this
+rate times dt.  A satellite outside a station's cone widened by that much
+at one instant is invisible from the station for the dt either side.
 """
 
 from __future__ import annotations
@@ -83,6 +93,44 @@ def station_ecef(gs: GroundStation) -> np.ndarray:
     )
 
 
+def _ring_geometry(config: ConstellationConfig):
+    """Orbit radius, mean motion (rad/s), (R, S) in-plane phase at t = 0 and
+    the cosine and sine of each ring's ascending node."""
+    radius = EARTH_RADIUS_M + config.altitude
+    rate = 2.0 * math.pi / kepler_period(config.altitude)
+    rings = np.arange(config.rings)
+    slots = np.arange(config.sats_per_ring)
+    raan = rings * (config.raan_span / config.rings)  # (R,)
+    phase = (
+        2.0 * math.pi * slots / config.sats_per_ring
+    )[None, :] + (rings * config.interplane_phase)[:, None]  # (R, S)
+    return radius, rate, phase, np.cos(raan), np.sin(raan)
+
+
+def _earth_fixed(radius, anomaly, cos_o, sin_o, theta):
+    """Position of a polar-orbit satellite, stacked on a new last axis.
+
+    `anomaly` is the in-plane angle from the ascending node, (cos_o, sin_o)
+    the node direction and `theta` Earth's rotation angle (None for the
+    inertial frame); all broadcast.  Every propagation path goes through
+    this one formula, so they agree bit for bit.
+    """
+    cos_u = np.cos(anomaly)
+    sin_u = np.sin(anomaly)
+
+    # polar orbit: plane vector [cos u, 0, sin u] rotated about z by the node
+    x = radius * cos_u * cos_o
+    y = radius * cos_u * sin_o
+    z = radius * sin_u
+
+    if theta is not None:
+        cos_t = np.cos(theta)
+        sin_t = np.sin(theta)
+        x, y = x * cos_t + y * sin_t, -x * sin_t + y * cos_t
+
+    return np.stack([x, y, z], axis=-1)
+
+
 def propagate_positions(
     config: ConstellationConfig,
     times: np.ndarray,
@@ -94,37 +142,29 @@ def propagate_positions(
     ordered ring-major, i.e. index = ring * sats_per_ring + slot.
     """
     times = np.asarray(times, dtype=float)
-    radius = EARTH_RADIUS_M + config.altitude
-    period = kepler_period(config.altitude)
-
-    rings = np.arange(config.rings)
-    slots = np.arange(config.sats_per_ring)
-    raan = rings * (config.raan_span / config.rings)  # (R,)
-    phase = (
-        2.0 * math.pi * slots / config.sats_per_ring
-    )[None, :] + (rings * config.interplane_phase)[:, None]  # (R, S)
+    radius, rate, phase, cos_o, sin_o = _ring_geometry(config)
 
     # anomaly (T, R, S): in-plane angle measured from the ascending node
-    anomaly = phase[None, :, :] + (2.0 * math.pi / period) * times[:, None, None]
-
-    cos_u = np.cos(anomaly)
-    sin_u = np.sin(anomaly)
-    cos_o = np.cos(raan)[None, :, None]
-    sin_o = np.sin(raan)[None, :, None]
-
-    # polar orbit: plane vector [cos u, 0, sin u] rotated about z by the node
-    x = radius * cos_u * cos_o
-    y = radius * cos_u * sin_o
-    z = radius * sin_u
-
-    if earth_rotation:
-        theta = EARTH_ROTATION_RAD_S * times[:, None, None]
-        cos_t = np.cos(theta)
-        sin_t = np.sin(theta)
-        x, y = x * cos_t + y * sin_t, -x * sin_t + y * cos_t
-
-    pos = np.stack([x, y, z], axis=-1)
+    anomaly = phase[None, :, :] + rate * times[:, None, None]
+    theta = EARTH_ROTATION_RAD_S * times[:, None, None] if earth_rotation else None
+    pos = _earth_fixed(radius, anomaly, cos_o[None, :, None], sin_o[None, :, None], theta)
     return pos.reshape(len(times), config.n_sats, 3)
+
+
+def sat_positions(config: ConstellationConfig, times, sats) -> np.ndarray:
+    """Earth-fixed positions of satellite `sats[k]` at `times[k]`, shape (K, 3).
+
+    `sats` holds ring-major indices; element k equals
+    `propagate_positions(config, times)[k, sats[k]]` bit for bit.
+    """
+    times = np.asarray(times, dtype=float)
+    sats = np.asarray(sats)
+    radius, rate, phase, cos_o, sin_o = _ring_geometry(config)
+    rings = sats // config.sats_per_ring
+    anomaly = phase.reshape(-1)[sats] + rate * times
+    return _earth_fixed(
+        radius, anomaly, cos_o[rings], sin_o[rings], EARTH_ROTATION_RAD_S * times
+    )
 
 
 def propagate(
@@ -167,6 +207,25 @@ def slant_range_from_elevation(elevation_degrees, altitude: float):
     radius = EARTH_RADIUS_M + altitude
     cos_el = np.cos(el)
     return np.sqrt(radius**2 - (EARTH_RADIUS_M * cos_el) ** 2) - EARTH_RADIUS_M * np.sin(el)
+
+
+def coverage_half_angle(altitude: float, min_elevation: float) -> float:
+    """Geocentric half-angle (radians) of the cone that sees a satellite.
+
+    A satellite at `altitude` is at elevation >= `min_elevation` (degrees)
+    from a station exactly when the angle at Earth's centre between the
+    two is at most this.
+    """
+    el = math.radians(min_elevation)
+    return (
+        math.pi / 2 - el - math.asin(EARTH_RADIUS_M * math.cos(el) / (EARTH_RADIUS_M + altitude))
+    )
+
+
+def max_angle_rate(altitude: float) -> float:
+    """Bound (rad/s) on how fast the geocentric angle between a satellite
+    at `altitude` and a fixed station can change."""
+    return 2.0 * math.pi / kepler_period(altitude) + EARTH_ROTATION_RAD_S
 
 
 def visible_sats(

@@ -127,6 +127,19 @@ class TestRadianceSchedule:
             RadianceSchedule(interval_scales=(1.0, 2.0, 3.0))
 
 
+class TestTimeOfDayConvention:
+    """Radiance intervals follow simulation time, whose origin is midnight
+    UTC, not either station's local time."""
+
+    SCHED = RadianceSchedule(interval_scales=(1.0, 2.0, 3.0, 4.0))
+
+    @pytest.mark.parametrize(
+        "hours, scale", [(0, 1.0), (6, 2.0), (12, 3.0), (18, 4.0), (24 + 13, 3.0)]
+    )
+    def test_interval_lookup(self, hours, scale):
+        assert self.SCHED.scale_at(hours * 3600.0) == scale
+
+
 class TestDeliveredFidelity:
     def test_noiseless_is_source_fidelity(self):
         assert delivered_fidelity(1e-4, 0.0, 1.0) == 1.0

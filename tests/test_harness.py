@@ -5,17 +5,21 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from satqkd import channel as ch
 from satqkd import cli, harness
-from satqkd.channel import LinkSample
+from satqkd.channel import ChannelParams, LinkSample, RadianceSchedule
 from satqkd.config import (
     ConfigError,
     ExperimentConfig,
     config_from_dict,
     load_config,
 )
-from satqkd.strategy import FidelityTrace
+from satqkd.strategy import FidelityTrace, NoDataError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -319,3 +323,162 @@ class TestCli:
             ["simulate", "--config", small_config_path, "--out", "/proc/nowhere/out"]
         )
         assert rc == 3
+
+
+class TestClickProbs:
+    def test_per_interval_values_match_scalar_over_a_day(self, monkeypatch):
+        chan = ChannelParams(radiance=RadianceSchedule(interval_scales=(1.0, 2.0, 3.0, 4.0)))
+        calls = []
+        scalar = ch.background_click_prob
+
+        def counted(t, *args):
+            calls.append(t)
+            return scalar(t, *args)
+
+        monkeypatch.setattr(ch, "background_click_prob", counted)
+        times = np.arange(2 * 86400) * 0.5  # one day in half-second steps
+        got = harness._click_probs(times, chan)
+        assert calls == [0.0, 21600.0, 43200.0, 64800.0]
+        want = [scalar(t, chan.radiance, chan.base_background_flux, chan.optics) for t in times]
+        assert got.tolist() == want
+
+
+class TestCellIsolation:
+    CFG = config_from_dict({**SMALL_CONFIG, "horizon_s": 60.0})
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(config, pair, altitude):
+            raise TypeError("bug in a cell")
+
+        monkeypatch.setattr(harness, "run_trace", broken)
+        with pytest.raises(TypeError, match="bug in a cell"):
+            harness.run_experiment(self.CFG)
+
+    def test_no_data_error_gives_na_row(self, monkeypatch):
+        def no_data(trace, grids, security):
+            raise NoDataError("no sifted bits in sample set")
+
+        monkeypatch.setattr(harness, "evaluate_nonblock", no_data)
+        rows = harness.run_experiment(self.CFG)
+        assert [(r.pair, r.altitude_m, r.strategy, r.secret_bits) for r in rows] == [
+            ("Toronto-DC", 500e3, "NA", 0)
+        ]
+
+
+# A valid trace CSV; its data rows sit on lines 4 to 6.
+GOOD_TRACE = [
+    "# pair=a-b",
+    "# horizon_s=3.0",
+    harness.TRACE_COLUMNS,
+    "0,3,14,0.987654,123.456",
+    "1,,,,0.0",
+    "2,0,0,1.000000,9.0",
+]
+FAST_GRIDS = {"grids": {"sampling_rates": [0.01, 0.1], "thresholds": [0.8]}}
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def _compare(trace_path, config_path):
+    return cli.main(["compare", "--config", str(config_path), "--trace", str(trace_path)])
+
+
+class TestTraceCsvValidation:
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "",
+            "1,2,3",
+            "1,3,14,0.9,1.0,7",
+            "1,3,14,nan,1.0",
+            "1,3,14,1.7,1.0",
+            "1,3,14,0.2,1.0",
+            "1,3,14,0.9,-1.0",
+            "1,3,14,0.9,nan",
+            "1,3,14,0.9,inf",
+            "1,,,,nan",
+            "1,,,,-2",
+            "1,,14,0.9,1.0",
+            "1,3,,,1.0",
+            "1,-3,14,0.9,1.0",
+            "1,3,1.5,0.9,1.0",
+            "x,3,14,0.9,1.0",
+            "nan,3,14,0.9,1.0",
+            "0,,,,0.0",
+        ],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, row):
+        path = _write_lines(tmp_path / "t.csv", GOOD_TRACE[:4] + [row] + GOOD_TRACE[5:])
+        with pytest.raises(ConfigError, match="line 5"):
+            harness.read_trace_csv(path)
+
+    def test_good_file_reads(self, tmp_path):
+        trace, _ = harness.read_trace_csv(_write_lines(tmp_path / "t.csv", GOOD_TRACE))
+        assert [s.sat for s in trace.samples] == [(3, 14), None, (0, 0)]
+
+    def test_cli_exits_2(self, tmp_path, capsys):
+        path = _write_lines(tmp_path / "t.csv", GOOD_TRACE[:4] + ["1,3"] + GOOD_TRACE[5:])
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(FAST_GRIDS))
+        assert _compare(path, config) == 2
+        assert "line 5" in capsys.readouterr().err
+
+
+_BAD_FIELD = {
+    0: ["", "nan", "inf", "x"],
+    1: ["", "x", "1.5", "-1", "nan"],
+    2: ["", "x", "1.5", "-1", "nan"],
+    3: ["", "nan", "1.7", "0.2", "-0.5", "inf", "x"],
+    4: ["", "nan", "-1", "inf", "x"],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzzed_trace_rows_exit_2(tmp_path_factory, data):
+    """Every row corrupted to be invalid is reported by line, with exit 2."""
+    index = data.draw(st.integers(3, len(GOOD_TRACE) - 1), label="row")
+    fields = GOOD_TRACE[index].split(",")
+    no_link = fields[1] == ""
+    kind = data.draw(st.sampled_from(["value", "text", "drop", "extra"]), label="kind")
+    if kind == "drop":
+        del fields[data.draw(st.integers(0, 4))]
+    elif kind == "extra":
+        fields.insert(data.draw(st.integers(0, 5)), data.draw(st.text(max_size=4)))
+    else:
+        column = data.draw(st.integers(0, 4), label="column")
+        if kind == "text":
+            bad = data.draw(st.text(st.characters(categories=["L"]), min_size=1, max_size=8))
+        else:
+            choices = _BAD_FIELD[column]
+            if no_link and column in (1, 2, 3):
+                choices = [c for c in choices if c]
+            bad = data.draw(st.sampled_from(choices))
+        fields[column] = bad
+    lines = list(GOOD_TRACE)
+    lines[index] = ",".join(fields).replace("\n", "").replace("\r", "")
+    work = tmp_path_factory.mktemp("fuzz")
+    config = work / "c.json"
+    config.write_text(json.dumps(FAST_GRIDS))
+    path = _write_lines(work / "t.csv", lines)
+    with pytest.raises(ConfigError, match=f"line {index + 1}"):
+        harness.read_trace_csv(path)
+    assert _compare(path, config) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(cut=st.integers(0, 200), junk=st.text(max_size=30), at=st.integers(0, 6))
+def test_fuzzed_trace_files_never_raise(tmp_path_factory, cut, junk, at):
+    """Truncated files and inserted junk lines give exit 0 or 2, never a traceback."""
+    lines = list(GOOD_TRACE)
+    lines.insert(at, junk)
+    text = "".join(line + "\n" for line in lines)
+    work = tmp_path_factory.mktemp("fuzz")
+    config = work / "c.json"
+    config.write_text(json.dumps(FAST_GRIDS))
+    path = work / "t.csv"
+    path.write_text(text[: len(text) - cut])
+    assert _compare(path, config) in (0, 2)

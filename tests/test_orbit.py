@@ -17,11 +17,14 @@ from satqkd.orbit import (
     ConstellationConfig,
     GroundStation,
     SatPosition,
+    coverage_half_angle,
     elevation,
     elevation_deg,
     kepler_period,
+    max_angle_rate,
     propagate,
     propagate_positions,
+    sat_positions,
     slant_range,
     slant_range_from_elevation,
     station_ecef,
@@ -223,3 +226,38 @@ class TestVisibility:
             if found:
                 break
         assert found, "expected at least one dual-visibility window in a day"
+
+
+class TestCoarseToFineBounds:
+    """The geometry behind the exact coarse-to-fine search in run_trace."""
+
+    def test_sat_positions_gather_dense_bit_for_bit(self):
+        cfg = ConstellationConfig(altitude=900e3, interplane_phase=0.7)
+        rng = np.random.default_rng(11)
+        times = rng.uniform(0.0, 86400.0, size=30)
+        dense = propagate_positions(cfg, times)
+        ti = rng.integers(0, 30, size=500)
+        si = rng.integers(0, cfg.n_sats, size=500)
+        assert np.array_equal(sat_positions(cfg, times[ti], si), dense[ti, si])
+
+    @pytest.mark.parametrize("altitude", [500e3, 1300e3])
+    @pytest.mark.parametrize("min_elevation", [0.0, 20.0, 60.0])
+    def test_cone_edge_is_at_min_elevation(self, altitude, min_elevation):
+        lam = coverage_half_angle(altitude, min_elevation)
+        r = EARTH_RADIUS_M + altitude
+        sat = SatPosition(0, 0, (r * math.cos(lam), r * math.sin(lam), 0.0))
+        assert elevation(sat, GroundStation("eq", 0.0, 0.0)) == pytest.approx(
+            min_elevation, abs=1e-9
+        )
+
+    @pytest.mark.parametrize("altitude", [400e3, 1500e3])
+    def test_angle_rate_bounds_motion(self, altitude):
+        cfg = ConstellationConfig(altitude=altitude, interplane_phase=0.3)
+        station = station_ecef(GroundStation("s", 37.0, -122.0))
+        up = station / np.linalg.norm(station)
+        times = np.arange(0.0, 6000.0, 10.0)
+        pos = propagate_positions(cfg, times)
+        angle = np.arccos(np.clip(pos @ up / np.linalg.norm(pos, axis=-1), -1.0, 1.0))
+        step = np.abs(np.diff(angle, axis=0)).max()
+        assert step <= max_angle_rate(altitude) * 10.0
+        assert step > 0.5 * max_angle_rate(altitude) * 10.0
