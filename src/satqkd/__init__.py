@@ -26,6 +26,7 @@ from .orbit import ConstellationConfig, GroundStation, kepler_period
 from .strategy import (
     BlockingPolicy,
     FidelityTrace,
+    SampleColumns,
     SearchGrids,
     StrategyOutcome,
     best_blocking,

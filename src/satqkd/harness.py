@@ -17,7 +17,8 @@ coarse-to-fine search instead of evaluating all satellites every step:
   samples are bit-identical to that brute-force search.
 
 Windows are handled in batches so memory stays flat over long horizons.
-The trace is then handed to the strategy layer.  All outputs are CSV with
+The search's per-step arrays become the trace's columns (`SampleColumns`)
+as they are, with no per-second object, and go to the strategy layer.  All outputs are CSV with
 a leading comment block that records the resolved config hash, so results
 are attributable to the exact configuration that produced them.
 """
@@ -32,11 +33,12 @@ import numpy as np
 
 from . import channel as ch
 from . import orbit
-from .channel import FIDELITY_FLOOR, LinkSample
+from .channel import FIDELITY_FLOOR
 from .config import ConfigError, ExperimentConfig
 from .strategy import (
     BlockingPolicy,
     FidelityTrace,
+    SampleColumns,
     StrategyOutcome,
     evaluate_block,
     evaluate_nonblock,
@@ -82,7 +84,7 @@ def run_trace(
     p_click = _click_probs(times, config.channel)
 
     best = np.full(n_steps, -1)
-    fid = np.zeros(n_steps)
+    fid = np.full(n_steps, np.nan)
     bits = np.zeros(n_steps)
     batch = _WINDOW * _BATCH_WINDOWS
     for start in range(0, n_steps, batch):
@@ -91,13 +93,10 @@ def run_trace(
             served, sat, f, b = _best_links(config, const, stations, times, p_click, steps, sats)
             best[served], fid[served], bits[served] = sat, f, b
 
-    per_ring = const.sats_per_ring
-    samples = [
-        LinkSample(time=t, fidelity=f, sifted_bits=b, sat=divmod(j, per_ring))
-        if j >= 0
-        else LinkSample(time=t, fidelity=None, sifted_bits=0.0, sat=None)
-        for t, j, f, b in zip(times.tolist(), best.tolist(), fid.tolist(), bits.tolist())
-    ]
+    linked = best >= 0
+    ring = np.where(linked, best // const.sats_per_ring, -1)
+    slot = np.where(linked, best % const.sats_per_ring, -1)
+    samples = SampleColumns(times, ring, slot, fid, bits)
     return FidelityTrace(pair=pair_name(pair), samples=samples, horizon=config.horizon)
 
 
@@ -300,13 +299,12 @@ def emit_trace_csv(trace: FidelityTrace, path, meta: dict | None = None) -> None
     header.update(meta or {})
     with _open_out(path, header) as fh:
         fh.write(TRACE_COLUMNS + "\n")
-        for s in trace.samples:
-            if s.sat is None:
-                fh.write(f"{s.time:g},,,,{s.sifted_bits!r}\n")
+        # .tolist() gives Python scalars, whose !r is a plain number
+        for t, ring, slot, f, b in zip(*(c.tolist() for c in trace.samples.columns())):
+            if ring < 0:
+                fh.write(f"{t:g},,,,{b!r}\n")
             else:
-                fh.write(
-                    f"{s.time:g},{s.sat[0]},{s.sat[1]},{s.fidelity:.6f},{s.sifted_bits!r}\n"
-                )
+                fh.write(f"{t:g},{ring},{slot},{f:.6f},{b!r}\n")
 
 
 def read_trace_csv(path) -> tuple[FidelityTrace, dict]:
@@ -315,7 +313,7 @@ def read_trace_csv(path) -> tuple[FidelityTrace, dict]:
     A malformed row raises ConfigError naming its line.
     """
     meta = {}
-    samples = []
+    times, rings, slots, fids, bitss = [], [], [], [], []
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -335,28 +333,33 @@ def read_trace_csv(path) -> tuple[FidelityTrace, dict]:
             try:
                 time_s, ring, slot, fidelity, bits = line.split(",")
                 time_s, bits = float(time_s), float(bits)
-                if ring == slot == fidelity == "":
-                    sat = fidelity = None
-                else:
+                linked = not (ring == slot == fidelity == "")
+                if linked:
                     ring, slot, fidelity = int(ring), int(slot), float(fidelity)
-                    sat = (ring, slot)
+                else:
+                    ring, slot, fidelity = -1, -1, math.nan
             except ValueError as exc:
                 raise ConfigError(f"{path}: line {number}: {exc}") from None
             # one chained test per row keeps reading as fast as it was unchecked
             if not (
                 previous < time_s < math.inf
                 and 0.0 <= bits < math.inf
-                and (sat is None or (ring >= 0 and slot >= 0 and FIDELITY_FLOOR <= fidelity <= 1.0))
+                and (not linked or (ring >= 0 and slot >= 0 and FIDELITY_FLOOR <= fidelity <= 1.0))
             ):
                 raise ConfigError(
                     f"{path}: line {number}: need finite increasing time_s, finite "
                     "sifted_bits >= 0, sat_ring and sat_slot >= 0 and fidelity in [0.25, 1]"
                 )
             previous = time_s
-            samples.append(LinkSample(time=time_s, fidelity=fidelity, sifted_bits=bits, sat=sat))
+            times.append(time_s)
+            rings.append(ring)
+            slots.append(slot)
+            fids.append(fidelity)
+            bitss.append(bits)
     if header != TRACE_COLUMNS:
         raise ConfigError(f"{path}: not a trace CSV (bad or missing header)")
-    horizon = float(meta.get("horizon_s", samples[-1].time + 1 if samples else 0))
+    horizon = float(meta.get("horizon_s", times[-1] + 1 if times else 0))
+    samples = SampleColumns(times, rings, slots, fids, bitss)
     return FidelityTrace(pair=meta.get("pair", "unknown"), samples=samples, horizon=horizon), meta
 
 
@@ -383,7 +386,7 @@ def emit_results_csv(rows: list[ResultRow], path, meta: dict | None = None) -> N
 
 
 def emit_plotdata(obj, path, meta: dict | None = None) -> None:
-    """Plot-ready data: minute-averaged fidelity for traces, or result rows."""
+    """Plot-ready data: per-minute fidelity and bits for traces, or result rows."""
     if isinstance(obj, FidelityTrace):
         _emit_trace_plotdata(obj, path, meta)
     else:
@@ -391,17 +394,23 @@ def emit_plotdata(obj, path, meta: dict | None = None) -> None:
 
 
 def _emit_trace_plotdata(trace: FidelityTrace, path, meta: dict | None) -> None:
+    """One row per minute of simulation time, floor(time / 60), that holds a
+    sample: the mean fidelity of its linked samples and the sum of its bits.
+
+    Both sums run in time order over Python floats, as a loop would.
+    """
     header = {"pair": trace.pair}
     header.update(meta or {})
+    columns = trace.samples
+    minute = np.floor(columns.time / 60.0).astype(np.int64)
+    starts = np.flatnonzero(np.diff(minute, prepend=minute[:1] - 1)).tolist()
+    minute, fid, bits = minute.tolist(), columns.fidelity.tolist(), columns.bits.tolist()
     with _open_out(path, header) as fh:
         fh.write("minute,mean_fidelity,sifted_bits\n")
-        n_minutes = math.ceil(len(trace.samples) / 60)
-        for minute in range(n_minutes):
-            window = trace.samples[minute * 60 : (minute + 1) * 60]
-            fids = [s.fidelity for s in window if s.fidelity is not None]
-            bits = sum(s.sifted_bits for s in window)
+        for a, b in zip(starts, [*starts[1:], len(bits)]):
+            fids = [f for f in fid[a:b] if f == f]  # NaN = no link
             mean = f"{sum(fids) / len(fids):.6f}" if fids else ""
-            fh.write(f"{minute},{mean},{bits!r}\n")
+            fh.write(f"{minute[a]},{mean},{sum(bits[a:b])!r}\n")
 
 
 def _emit_results_plotdata(rows: list[ResultRow], path, meta: dict | None) -> None:

@@ -1,16 +1,31 @@
 """Post-processing policies over fidelity traces.
 
-A trace is reduced to (fidelity, sifted_bits) pairs; a policy then decides
-which samples to discard (fidelity threshold), how to partition the rest
-into blocks, and how many bits to sacrifice to error sampling.  Thresholds
-and sampling rates are chosen by exhaustive grid search; everything here
-is deterministic, with ties broken toward the smaller threshold, the
-smaller sampling rate, and the fewer blocks.
+A trace holds its per-second samples as five numpy columns in time order
+(`SampleColumns`): `time`, `ring` and `slot` of the serving satellite
+(-1 = no link), `fidelity` (NaN = no link) and `bits` (sifted bits).  A
+second is linked when its fidelity is not NaN; an unlinked second may still
+carry bits, which no policy counts.  Thresholding and partitioning are
+boolean masks over those columns, so every subset keeps time order and the
+sums over it see the same values in the same order as a loop over the
+seconds would.
+
+`FidelityTrace.samples` is that column set.  It also reads as a read-only
+sequence of `LinkSample`: an int index builds one sample (Python floats,
+`None` fidelity and satellite when unlinked), a slice is another column
+set, and iteration, `len`, `==` and `+ list` behave as on a list.  The
+constructor and every function here also accept a list of `LinkSample`.
+
+A policy then decides which samples to discard (fidelity threshold), how
+to partition the rest into blocks, and how many bits to sacrifice to error
+sampling.  Thresholds and sampling rates are chosen by exhaustive grid
+search; everything here is deterministic, with ties broken toward the
+smaller threshold, the smaller sampling rate, and the fewer blocks.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,17 +38,108 @@ class NoDataError(ValueError):
     """Raised when an operation needs sample data and none is available."""
 
 
+def _sample(time, ring, slot, fidelity, bits) -> LinkSample:
+    return LinkSample(
+        time=time,
+        fidelity=None if fidelity != fidelity else fidelity,  # NaN = no link
+        sifted_bits=bits,
+        sat=None if ring < 0 else (ring, slot),
+    )
+
+
+class SampleColumns(Sequence):
+    """Per-second samples as five read-only numpy columns in time order."""
+
+    __slots__ = ("time", "ring", "slot", "fidelity", "bits")
+
+    def __init__(self, time, ring, slot, fidelity, bits):
+        columns = (
+            np.asarray(time, dtype=float),
+            np.asarray(ring, dtype=np.int64),
+            np.asarray(slot, dtype=np.int64),
+            np.asarray(fidelity, dtype=float),
+            np.asarray(bits, dtype=float),
+        )
+        if any(c.shape != columns[0].shape or c.ndim != 1 for c in columns):
+            raise ValueError("sample columns must be 1-D and of one length")
+        for name, column in zip(self.__slots__, columns):
+            column = column.view()  # lock this view, not the caller's array
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_samples(cls, samples) -> SampleColumns:
+        """Columns of a `LinkSample` sequence; fidelity None becomes NaN."""
+        samples = list(samples)
+        return cls(
+            [s.time for s in samples],
+            [-1 if s.sat is None else s.sat[0] for s in samples],
+            [-1 if s.sat is None else s.sat[1] for s in samples],
+            [math.nan if s.fidelity is None else s.fidelity for s in samples],
+            [s.sifted_bits for s in samples],
+        )
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return self.time, self.ring, self.slot, self.fidelity, self.bits
+
+    def select(self, mask: np.ndarray) -> SampleColumns:
+        """The rows where `mask` holds, in time order."""
+        return SampleColumns(*(c[mask] for c in self.columns()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SampleColumns is read-only")
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SampleColumns(*(c[index] for c in self.columns()))
+        return _sample(*(c[index].item() for c in self.columns()))
+
+    def __iter__(self):
+        return map(_sample, *(c.tolist() for c in self.columns()))
+
+    def __eq__(self, other):
+        if isinstance(other, SampleColumns):
+            return len(self) == len(other) and all(
+                np.array_equal(a, b, equal_nan=True)
+                for a, b in zip(self.columns(), other.columns())
+            )
+        if isinstance(other, list):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __add__(self, other):
+        return list(self) + list(other)
+
+    def __radd__(self, other):
+        return list(other) + list(self)
+
+    def __repr__(self) -> str:
+        return f"SampleColumns(<{len(self)} samples>)"
+
+
+def _columns(samples) -> SampleColumns:
+    return samples if isinstance(samples, SampleColumns) else SampleColumns.from_samples(samples)
+
+
 @dataclass(frozen=True)
 class FidelityTrace:
-    """Per-second link samples for one ground-station pair."""
+    """Per-second link samples for one ground-station pair.
+
+    `samples` may be given as a `LinkSample` sequence; it is stored as
+    `SampleColumns`.
+    """
 
     pair: str
-    samples: list[LinkSample]
+    samples: SampleColumns
     horizon: float
 
     def __post_init__(self):
-        times = [s.time for s in self.samples]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        columns = _columns(self.samples)
+        object.__setattr__(self, "samples", columns)
+        if np.any(columns.time[1:] <= columns.time[:-1]):
             raise ValueError("trace samples must be strictly increasing in time")
 
 
@@ -102,20 +208,11 @@ class StrategyOutcome:
     label: str
 
 
-def _linked_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
-    """(fidelity, sifted_bits) arrays over samples that carried a link."""
-    fid = np.array(
-        [s.fidelity for s in samples if s.fidelity is not None], dtype=float
-    )
-    bits = np.array(
-        [s.sifted_bits for s in samples if s.fidelity is not None], dtype=float
-    )
-    return fid, bits
-
-
 def aggregate_qber(samples) -> tuple[float, float]:
-    """Total sifted bits and rate-weighted mean QBER over the samples."""
-    fid, bits = _linked_arrays(samples)
+    """Total sifted bits and rate-weighted mean QBER over the linked samples."""
+    columns = _columns(samples)
+    linked = ~np.isnan(columns.fidelity)
+    fid, bits = columns.fidelity[linked], columns.bits[linked]
     total = float(bits.sum())
     if len(fid) == 0 or total <= 0.0:
         raise NoDataError("no sifted bits in sample set")
@@ -123,29 +220,28 @@ def aggregate_qber(samples) -> tuple[float, float]:
     return total, qber
 
 
-def apply_threshold(samples, theta: float):
+def apply_threshold(samples, theta: float) -> SampleColumns:
     """Keep only the samples whose fidelity is >= theta."""
     if not FIDELITY_FLOOR <= theta <= 1.0:
         raise ValueError(f"threshold must be in [0.25, 1], got {theta}")
-    return [s for s in samples if s.fidelity is not None and s.fidelity >= theta]
+    columns = _columns(samples)
+    return columns.select(columns.fidelity >= theta)  # NaN (no link) compares False
 
 
-def partition(trace: FidelityTrace, policy: BlockingPolicy) -> list[list[LinkSample]]:
+def partition(trace: FidelityTrace, policy: BlockingPolicy) -> list[SampleColumns]:
     """Split linked samples into fidelity buckets, highest bucket first.
 
     Bucket j covers [b_j, b_{j+1}); the top bucket is closed at 1.
     """
-    edges = [FIDELITY_FLOOR, *policy.boundaries, 1.0]
-    ranges = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-    buckets: list[list[LinkSample]] = [[] for _ in ranges]
-    for s in trace.samples:
-        if s.fidelity is None:
-            continue
-        for i, (lo, hi) in enumerate(ranges):
-            if lo <= s.fidelity < hi or (s.fidelity == hi == 1.0):
-                buckets[i].append(s)
-                break
-    return buckets[::-1]
+    columns = _columns(trace.samples)
+    fid = columns.fidelity
+    buckets = []
+    for lo, hi in bucket_ranges(policy):
+        mask = (lo <= fid) & (fid < hi)
+        if hi == 1.0:
+            mask |= fid == 1.0
+        buckets.append(columns.select(mask))
+    return buckets
 
 
 def bucket_ranges(policy: BlockingPolicy) -> list[tuple[float, float]]:
