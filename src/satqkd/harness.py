@@ -21,11 +21,30 @@ The search's per-step arrays become the trace's columns (`SampleColumns`)
 as they are, with no per-second object, and go to the strategy layer.  All outputs are CSV with
 a leading comment block that records the resolved config hash, so results
 are attributable to the exact configuration that produced them.
+
+A trace CSV has one row per time step, `time_s,sat_ring,sat_slot,fidelity,
+sifted_bits`, and the writer puts time down losslessly: an integral time as
+an integer, any other by `repr`.  `read_trace_csv` accepts this grammar:
+
+- lines end in LF, CRLF or a lone CR; the last may lack its ending;
+- a `#` line anywhere is `key=value` metadata; a blank line is an error;
+- a data row is five comma-separated ASCII decimal numbers, spaces and
+  tabs around each ignored; `nan`, `inf`, `_` and non-ASCII digits are not
+  valid;
+- a row with no link leaves sat_ring, sat_slot and fidelity empty; a linked
+  row has integral sat_ring and sat_slot in [0, 2**53) (`3.0` reads as 3)
+  and fidelity in [0.25, 1];
+- time is finite and increasing, sifted_bits finite and >= 0.
+
+It parses every data row in one `np.loadtxt` call and checks them with
+vector masks; only a file that fails is walked row by row, to name the
+first bad line in a ConfigError.
 """
 
 from __future__ import annotations
 
 import io
+import locale
 import math
 from dataclasses import dataclass
 
@@ -297,70 +316,155 @@ def emit_trace_csv(trace: FidelityTrace, path, meta: dict | None = None) -> None
     """Write a per-second trace; empty sat/fidelity fields mean no link."""
     header = {"pair": trace.pair, "horizon_s": trace.horizon}
     header.update(meta or {})
+    columns = trace.samples
     with _open_out(path, header) as fh:
         fh.write(TRACE_COLUMNS + "\n")
         # .tolist() gives Python scalars, whose !r is a plain number
-        for t, ring, slot, f, b in zip(*(c.tolist() for c in trace.samples.columns())):
+        rest = (c.tolist() for c in columns.columns()[1:])
+        for t, ring, slot, f, b in zip(_time_text(columns.time), *rest):
             if ring < 0:
-                fh.write(f"{t:g},,,,{b!r}\n")
+                fh.write(f"{t},,,,{b!r}\n")
             else:
-                fh.write(f"{t:g},{ring},{slot},{f:.6f},{b!r}\n")
+                fh.write(f"{t},{ring},{slot},{f:.6f},{b!r}\n")
+
+
+def _time_text(time: np.ndarray) -> list:
+    """Each time in a form that reads back as the same float: an integral
+    time as an integer (the bytes `:g` gives below 1e6), any other by repr.
+    Whether every time is integral is decided once, for the whole column."""
+    if np.all((np.trunc(time) == time) & (np.abs(time) < 2.0**53) & ~np.signbit(time)):
+        return time.astype(np.int64).tolist()
+    return [f"{t:.0f}" if t.is_integer() else repr(t) for t in time.tolist()]
 
 
 def read_trace_csv(path) -> tuple[FidelityTrace, dict]:
     """Re-ingest a trace CSV; returns the trace and its header metadata.
 
-    A malformed row raises ConfigError naming its line.
+    A malformed row raises ConfigError naming its line (grammar in the
+    module docstring).
     """
-    meta = {}
-    times, rings, slots, fids, bitss = [], [], [], [], []
     try:
-        fh = open(path, newline="")
+        with open(path, "rb") as fh:
+            text = fh.read()
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        header = None
-        previous = -math.inf
-        for number, line in enumerate(fh, start=1):
-            if line.startswith("#"):
-                _meta(line, meta)
-                continue
-            if header is None:
-                header = line.rstrip("\r\n")
-                if header != TRACE_COLUMNS:
-                    break
-                continue
-            try:
-                time_s, ring, slot, fidelity, bits = line.split(",")
-                time_s, bits = float(time_s), float(bits)
-                linked = not (ring == slot == fidelity == "")
-                if linked:
-                    ring, slot, fidelity = int(ring), int(slot), float(fidelity)
-                else:
-                    ring, slot, fidelity = -1, -1, math.nan
-            except ValueError as exc:
-                raise ConfigError(f"{path}: line {number}: {exc}") from None
-            # one chained test per row keeps reading as fast as it was unchecked
-            if not (
-                previous < time_s < math.inf
-                and 0.0 <= bits < math.inf
-                and (not linked or (ring >= 0 and slot >= 0 and FIDELITY_FLOOR <= fidelity <= 1.0))
-            ):
-                raise ConfigError(
-                    f"{path}: line {number}: need finite increasing time_s, finite "
-                    "sifted_bits >= 0, sat_ring and sat_slot >= 0 and fidelity in [0.25, 1]"
-                )
-            previous = time_s
-            times.append(time_s)
-            rings.append(ring)
-            slots.append(slot)
-            fids.append(fidelity)
-            bitss.append(bits)
-    if header != TRACE_COLUMNS:
+    if b"\r" in text:  # CRLF and a lone CR each end one line, as in text mode
+        text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    meta: dict = {}
+    header, start, number = None, 0, 1  # offset and number of the next line
+    while start < len(text):
+        end = text.find(b"\n", start)
+        end = len(text) if end < 0 else end
+        line, start, number = text[start:end], end + 1, number + 1
+        if not line.startswith(b"#"):
+            header = line
+            break
+        _meta(_decode(line), meta)
+    if header != TRACE_COLUMNS.encode():
         raise ConfigError(f"{path}: not a trace CSV (bad or missing header)")
-    horizon = float(meta.get("horizon_s", times[-1] + 1 if times else 0))
-    samples = SampleColumns(times, rings, slots, fids, bitss)
+    body = text[start:]
+    del text  # one copy of the file at a time keeps peak memory down
+    samples = _parse_rows(body, number, meta, path)
+    horizon = float(meta.get("horizon_s", samples.time[-1] + 1 if len(samples) else 0))
     return FidelityTrace(pair=meta.get("pair", "unknown"), samples=samples, horizon=horizon), meta
+
+
+# What the bulk parser strips around a number; the row check strips the same.
+_BLANK = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
+_NO_LINK = b",,,,"  # empty sat_ring, sat_slot and fidelity
+_ROW_RULE = (
+    "need finite increasing time_s, finite sifted_bits >= 0, integral sat_ring and "
+    "sat_slot >= 0 and fidelity in [0.25, 1]"
+)
+
+
+def _parse_rows(body: bytes, first: int, meta: dict, path) -> SampleColumns:
+    """The data rows of a trace CSV, `body` from line `first` on (LF endings),
+    in the grammar of the module docstring; `#` lines go into `meta`.
+
+    Each empty triple becomes `-1,-1,nan` and one `np.loadtxt` call parses
+    every row; a literal `-1,-1,nan` row is caught by counting the empty
+    triples.  Only when the bulk check fails is the body walked row by row,
+    to name the first bad line.
+    """
+    rows = body
+    if rows.startswith(b"#") or b"\n#" in rows:  # metadata among the rows
+        lines = rows.split(b"\n")
+        for line in lines:
+            if line.startswith(b"#"):
+                _meta(_decode(line), meta)
+        rows = b"\n".join(line for line in lines if not line.startswith(b"#"))
+    if not rows:
+        return SampleColumns([], [], [], [], [])
+    n = rows.count(b"\n") + (not rows.endswith(b"\n"))
+    table = None
+    # np.loadtxt skips blank lines and decodes bytes as latin-1, so neither may reach it
+    if rows.isascii() and not (rows.startswith(b"\n") or b"\n\n" in rows):
+        try:
+            table = np.loadtxt(
+                io.BytesIO(rows.replace(_NO_LINK, b",-1,-1,nan,")),
+                delimiter=",", comments=None, ndmin=2,
+            )
+        except ValueError:
+            pass
+    if table is not None and table.shape == (n, 5):
+        time, ring, slot, fidelity, bits = table.T
+        previous = np.concatenate(([-np.inf], time[:-1]))
+        no_link = slot == -1
+        if (
+            _rows_ok(time, ring, slot, fidelity, bits, previous, no_link).all()
+            and np.count_nonzero(no_link) == rows.count(_NO_LINK)
+        ):
+            return SampleColumns(
+                time.copy(), ring.astype(np.int64), slot.astype(np.int64), fidelity.copy(),
+                bits.copy(),
+            )
+    raise _bad_row(body, first, path)
+
+
+def _rows_ok(time, ring, slot, fidelity, bits, previous, no_link):
+    """The row rules of `_parse_rows`, elementwise; `no_link` marks an empty
+    triple, read as ring and slot -1 and fidelity NaN."""
+    linked = (FIDELITY_FLOOR <= fidelity) & (fidelity <= 1.0)
+    for index in (ring, slot):
+        linked &= (0 <= index) & (index < 2.0**53) & (np.trunc(index) == index)
+    return (
+        (previous < time) & (time < np.inf) & (0.0 <= bits) & (bits < np.inf)
+        & np.where(no_link, (ring == -1) & np.isnan(fidelity), linked)
+    )
+
+
+def _bad_row(body: bytes, first: int, path) -> ConfigError:
+    """The error naming the first row of `body` that `_parse_rows` rejects."""
+    lines = body.split(b"\n")
+    if body.endswith(b"\n"):
+        lines.pop()
+    previous = -math.inf
+    for number, line in enumerate(lines, start=first):
+        if line.startswith(b"#"):
+            continue
+        fields = line.split(b",")
+        no_link = len(fields) == 5 and fields[1] == fields[2] == fields[3] == b""
+        try:
+            if len(fields) != 5 or not line.isascii() or b"_" in line:
+                raise ValueError
+            if no_link:
+                fields[1:4] = b"-1", b"-1", b"nan"
+            values = [float(field.strip(_BLANK)) for field in fields]
+        except ValueError:
+            return ConfigError(
+                f"{path}: line {number}: need five comma-separated ASCII decimal numbers "
+                "(sat_ring, sat_slot and fidelity empty for no link)"
+            )
+        if not _rows_ok(*values, previous, no_link):
+            return ConfigError(f"{path}: line {number}: {_ROW_RULE}")
+        previous = values[0]
+    return ConfigError(f"{path}: malformed trace rows")
+
+
+def _decode(line: bytes) -> str:
+    """A metadata line as text, in the encoding `open` reads and writes."""
+    return line.decode(locale.getpreferredencoding(False))
 
 
 def _meta(line: str, meta: dict) -> None:
