@@ -179,12 +179,12 @@ def fidelity_to_qber(fidelity):
     return q if q.ndim else float(q)
 
 
-def _candidate_fidelity(
+def _link_budget(
     record: VisibilityRecord,
     altitude: float,
     channel: ChannelParams,
-) -> float:
-    """Delivered fidelity estimate for one visible satellite."""
+) -> tuple[float, float]:
+    """Delivered fidelity and sifted bits per second through one visible satellite."""
     eta = []
     for el in (record.elevation_a, record.elevation_b):
         rng = orbit.slant_range_from_elevation(el, altitude)
@@ -194,7 +194,9 @@ def _candidate_fidelity(
     )
     p_signal = pair_delivery_prob(eta[0], eta[1])
     p_acc = accidental_prob(p_click, p_click, eta[0], eta[1])
-    return delivered_fidelity(p_signal, p_acc, channel.source.source_fidelity)
+    fidelity = delivered_fidelity(p_signal, p_acc, channel.source.source_fidelity)
+    sifted = channel.source.pair_rate * (p_signal + p_acc) * channel.basis_sift_factor
+    return fidelity, sifted
 
 
 def select_best_satellite(
@@ -206,14 +208,10 @@ def select_best_satellite(
 
     Ties break toward the lowest (ring, slot) index; empty input gives None.
     """
-    best_sat = None
-    best_fid = -1.0
-    for record in sorted(candidates, key=lambda r: r.sat):
-        fid = _candidate_fidelity(record, altitude, channel)
-        if fid > best_fid:
-            best_fid = fid
-            best_sat = record.sat
-    return best_sat
+    if not candidates:
+        return None
+    records = sorted(candidates, key=lambda r: r.sat)  # max keeps the first of equals
+    return max(records, key=lambda r: _link_budget(r, altitude, channel)[0]).sat
 
 
 def link_sample(
@@ -227,19 +225,7 @@ def link_sample(
     candidates = orbit.visible_sats(constellation, t, pair, min_elevation)
     if not candidates:
         return LinkSample(time=t, fidelity=None, sifted_bits=0.0, sat=None)
-    by_sat = {r.sat: r for r in candidates}
     sat = select_best_satellite(candidates, constellation.altitude, channel)
-    record = by_sat[sat]
-
-    eta = []
-    for el in (record.elevation_a, record.elevation_b):
-        rng = orbit.slant_range_from_elevation(el, constellation.altitude)
-        eta.append(arm_transmissivity(rng, math.radians(90.0 - el), channel.optics))
-    p_click = background_click_prob(
-        t, channel.radiance, channel.base_background_flux, channel.optics
-    )
-    p_signal = pair_delivery_prob(eta[0], eta[1])
-    p_acc = accidental_prob(p_click, p_click, eta[0], eta[1])
-    fidelity = delivered_fidelity(p_signal, p_acc, channel.source.source_fidelity)
-    sifted = channel.source.pair_rate * (p_signal + p_acc) * channel.basis_sift_factor
+    record = next(r for r in candidates if r.sat == sat)
+    fidelity, sifted = _link_budget(record, constellation.altitude, channel)
     return LinkSample(time=t, fidelity=float(fidelity), sifted_bits=float(sifted), sat=sat)

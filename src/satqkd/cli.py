@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import harness
 from .config import ConfigError, ExperimentConfig, load_config
 from .strategy import (
     BlockingPolicy,
+    best_outcome,
     evaluate_block,
     evaluate_nonblock,
     improvement,
@@ -79,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve(args) -> ExperimentConfig:
     config = load_config(args.config)
     if getattr(args, "altitude", None):
-        config = _replace_config(config, altitudes=tuple(args.altitude))
+        config = replace(config, altitudes=tuple(args.altitude))
     if getattr(args, "pair", None):
         pairs = []
         for spec in args.pair:
@@ -87,14 +89,8 @@ def _resolve(args) -> ExperimentConfig:
             if len(parts) != 2:
                 raise ConfigError(f"--pair must look like NameA:NameB, got {spec!r}")
             pairs.append((parts[0], parts[1]))
-        config = _replace_config(config, pairs=tuple(pairs))
+        config = replace(config, pairs=tuple(pairs))
     return config
-
-
-def _replace_config(config: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    from dataclasses import replace
-
-    return replace(config, **kwargs)
 
 
 def _outdir(args) -> Path:
@@ -114,12 +110,9 @@ def cmd_simulate(args) -> int:
         for altitude in config.altitudes:
             trace = harness.run_trace(config, pair, altitude)
             name = f"trace_{harness.pair_name(pair)}_{int(altitude)}.csv"
-            harness.emit_trace_csv(
-                trace, out / name, meta={**meta, "altitude_m": int(altitude)}
-            )
-            harness.emit_plotdata(
-                trace, out / f"plotdata_{name}", meta={**meta, "altitude_m": int(altitude)}
-            )
+            cell_meta = {**meta, "altitude_m": int(altitude)}
+            harness.emit_trace_csv(trace, out / name, meta=cell_meta)
+            harness.emit_plotdata(trace, out / f"plotdata_{name}", meta=cell_meta)
             print(f"wrote {out / name}")
     return EXIT_OK
 
@@ -172,12 +165,13 @@ def cmd_compare(args) -> int:
     trace, _ = harness.read_trace_csv(args.trace)
     nonblock = evaluate_nonblock(trace, config.grids, config.security)
     print(f"non-blockwise secret_bits={nonblock.secret_bits}")
-    best = None
-    for policy in sorted(config.policies, key=lambda p: p.n_blocks):
-        outcome = evaluate_block(trace, policy, config.grids, config.security)
+    outcomes = [
+        evaluate_block(trace, policy, config.grids, config.security)
+        for policy in sorted(config.policies, key=lambda p: p.n_blocks)
+    ]
+    for outcome in outcomes:
         print(f"{outcome.label} secret_bits={outcome.secret_bits}")
-        if best is None or outcome.secret_bits > best.secret_bits:
-            best = outcome
+    best = best_outcome(outcomes)
     imp = improvement(best.secret_bits, nonblock.secret_bits)
     print(f"best={best.label} improvement={harness.format_improvement(imp)}")
     return EXIT_OK

@@ -1,22 +1,35 @@
 """Experiment configuration: defaults, JSON loading, validation, hashing.
 
-The config file is a single JSON document; every field is optional and
-falls back to the defaults below, which mirror the shipped
-configs/default.json.  Station coordinates are public geographic facts;
-the radiance scales and optics values are invented calibration defaults.
+The config file is a single JSON document.  `CONFIG_TABLE` lists each value
+once, with its JSON key, its attribute on `ExperimentConfig` and its parser;
+`to_dict` and `config_from_dict` both follow it.  Every value is optional
+and falls back to the dataclass defaults, which the shipped
+configs/default.json repeats; a search grid may also be given as a range
+(`GRID_RANGES`).  An unknown key is an error.  Station coordinates are
+public geographic facts; the radiance scales and optics values are invented
+calibration defaults.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, replace
+from functools import cache
+from operator import attrgetter
+from typing import get_type_hints
 
-from .channel import ChannelParams, OpticsConfig, RadianceSchedule, SourceConfig
+from .channel import ChannelParams
 from .finite_key import SecurityParams
 from .orbit import ConstellationConfig, GroundStation
-from .strategy import BlockingPolicy, SearchGrids
+from .strategy import (
+    RATE_RANGE,
+    THRESHOLD_RANGE,
+    BlockingPolicy,
+    SearchGrids,
+    rate_grid,
+    threshold_grid,
+)
 
 
 class ConfigError(ValueError):
@@ -30,7 +43,6 @@ DEFAULT_STATIONS = (
 )
 DEFAULT_PAIRS = (("Toronto", "DC"), ("DC", "Houston"), ("Toronto", "Houston"))
 DEFAULT_ALTITUDES = (500e3, 800e3, 1000e3, 1300e3)
-DEFAULT_POLICIES = (BlockingPolicy((0.98,)), BlockingPolicy((0.90, 0.98)))
 
 
 @dataclass(frozen=True)
@@ -46,7 +58,7 @@ class ExperimentConfig:
     channel: ChannelParams = field(default_factory=ChannelParams)
     security: SecurityParams = field(default_factory=SecurityParams)
     grids: SearchGrids = field(default_factory=SearchGrids)
-    policies: tuple[BlockingPolicy, ...] = DEFAULT_POLICIES
+    policies: tuple[BlockingPolicy, ...] = (BlockingPolicy((0.98,)), BlockingPolicy((0.90, 0.98)))
     horizon: float = 86400.0
     time_step: float = 1.0
     min_elevation: float = 20.0
@@ -71,6 +83,11 @@ class ExperimentConfig:
             raise ConfigError("min_elevation must be in [0, 90)")
         if any(a <= 0 for a in self.altitudes):
             raise ConfigError("altitudes must all be > 0")
+        blocks = [p.n_blocks for p in self.policies]
+        if 1 in blocks:
+            raise ConfigError("policies: a policy needs a boundary (none is non-blockwise)")
+        if len(set(blocks)) != len(blocks):
+            raise ConfigError("policies: two policies have the same block count and label")
 
     def station(self, name: str) -> GroundStation:
         for s in self.stations:
@@ -83,159 +100,138 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """Fully resolved config as plain JSON-serializable data."""
-        return {
-            "constellation": {
-                "rings": self.constellation.rings,
-                "sats_per_ring": self.constellation.sats_per_ring,
-                "raan_span_rad": self.constellation.raan_span,
-                "interplane_phase_rad": self.constellation.interplane_phase,
-            },
-            "altitudes_m": list(self.altitudes),
-            "stations": [
-                {"name": s.name, "latitude": s.latitude, "longitude": s.longitude}
-                for s in self.stations
-            ],
-            "pairs": [list(p) for p in self.pairs],
-            "source": {
-                "pair_rate": self.channel.source.pair_rate,
-                "pump_power": self.channel.source.pump_power,
-                "source_fidelity": self.channel.source.source_fidelity,
-            },
-            "optics": {
-                "beam_divergence_rad": self.channel.optics.beam_divergence,
-                "rx_aperture_diameter_m": self.channel.optics.rx_aperture_diameter,
-                "rx_efficiency": self.channel.optics.rx_efficiency,
-                "zenith_optical_depth": self.channel.optics.zenith_optical_depth,
-                "dark_rate_hz": self.channel.optics.dark_rate,
-                "gate_time_s": self.channel.optics.gate_time,
-            },
-            "radiance": {
-                "interval_scales": list(self.channel.radiance.interval_scales),
-                "base_flux_hz": self.channel.base_background_flux,
-            },
-            "basis_sift_factor": self.channel.basis_sift_factor,
-            "security": {
-                "eps_sec": self.security.eps_sec,
-                "eps_cor": self.security.eps_cor,
-            },
-            "grids": {
-                "sampling_rates": list(self.grids.sampling_rates),
-                "thresholds": list(self.grids.thresholds),
-            },
-            "policies": [list(p.boundaries) for p in self.policies],
-            "horizon_s": self.horizon,
-            "time_step_s": self.time_step,
-            "min_elevation_deg": self.min_elevation,
-        }
+        out: dict = {}
+        for key, attr, _ in CONFIG_TABLE:
+            _put(out, key, _plain(attrgetter(attr)(self)))
+        return out
 
     def hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _require(condition: bool, message: str):
-    if not condition:
-        raise ConfigError(message)
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
 
 
-def _grids_from_dict(d: dict) -> SearchGrids:
-    if "sampling_rates" in d:
-        rates = tuple(float(r) for r in d["sampling_rates"])
-    else:
-        import numpy as np
+def _stations(values) -> tuple[GroundStation, ...]:
+    return tuple(
+        GroundStation(s["name"], float(s["latitude"]), float(s["longitude"])) for s in values
+    )
 
-        lo = float(d.get("sampling_rate_min", 1e-5))
-        hi = float(d.get("sampling_rate_max", 0.05))
-        pts = int(d.get("sampling_rate_points", 50))
-        _require(0 < lo <= hi, "grids: need 0 < sampling_rate_min <= sampling_rate_max")
-        rates = tuple(np.geomspace(lo, hi, pts))
-    if "thresholds" in d:
-        thetas = tuple(float(t) for t in d["thresholds"])
-    else:
-        lo = float(d.get("threshold_min", 0.70))
-        hi = float(d.get("threshold_max", 0.90))
-        step = float(d.get("threshold_step", 0.02))
-        _require(step > 0 and lo <= hi, "grids: bad threshold range")
-        n = int(round((hi - lo) / step)) + 1
-        thetas = tuple(round(lo + i * step, 10) for i in range(n))
-    return SearchGrids(sampling_rates=rates, thresholds=thetas)
+
+# Every config value once: its JSON key path, its attribute path on
+# ExperimentConfig and the parser of its JSON value, in `to_dict` order.
+CONFIG_TABLE = (
+    ("constellation.rings", "constellation.rings", int),
+    ("constellation.sats_per_ring", "constellation.sats_per_ring", int),
+    ("constellation.raan_span_rad", "constellation.raan_span", float),
+    ("constellation.interplane_phase_rad", "constellation.interplane_phase", float),
+    ("altitudes_m", "altitudes", _floats),
+    ("stations", "stations", _stations),
+    ("pairs", "pairs", lambda values: tuple((p[0], p[1]) for p in values)),
+    ("source.pair_rate", "channel.source.pair_rate", float),
+    ("source.pump_power", "channel.source.pump_power", float),
+    ("source.source_fidelity", "channel.source.source_fidelity", float),
+    ("optics.beam_divergence_rad", "channel.optics.beam_divergence", float),
+    ("optics.rx_aperture_diameter_m", "channel.optics.rx_aperture_diameter", float),
+    ("optics.rx_efficiency", "channel.optics.rx_efficiency", float),
+    ("optics.zenith_optical_depth", "channel.optics.zenith_optical_depth", float),
+    ("optics.dark_rate_hz", "channel.optics.dark_rate", float),
+    ("optics.gate_time_s", "channel.optics.gate_time", float),
+    ("radiance.interval_scales", "channel.radiance.interval_scales", _floats),
+    ("radiance.base_flux_hz", "channel.base_background_flux", float),
+    ("basis_sift_factor", "channel.basis_sift_factor", float),
+    ("security.eps_sec", "security.eps_sec", float),
+    ("security.eps_cor", "security.eps_cor", float),
+    ("grids.sampling_rates", "grids.sampling_rates", _floats),
+    ("grids.thresholds", "grids.thresholds", _floats),
+    ("policies", "policies", lambda values: tuple(BlockingPolicy(_floats(b)) for b in values)),
+    ("horizon_s", "horizon", float),
+    ("time_step_s", "time_step", float),
+    ("min_elevation_deg", "min_elevation", float),
+)
+
+# The range form of a search grid, used when its list is not given: the grid
+# function, its default range and its range keys under "grids"; each range
+# value is parsed to the type of its default.
+GRID_RANGES = {
+    "grids.sampling_rates": (
+        rate_grid, RATE_RANGE, ("sampling_rate_min", "sampling_rate_max", "sampling_rate_points")
+    ),
+    "grids.thresholds": (
+        threshold_grid, THRESHOLD_RANGE, ("threshold_min", "threshold_max", "threshold_step")
+    ),
+}
+
+_KEYS = {tuple(key.split(".")) for key, _, _ in CONFIG_TABLE} | {
+    ("grids", name) for _, _, names in GRID_RANGES.values() for name in names
+}
+_SECTIONS = {key[0] for key in _KEYS if len(key) == 2}
+
+
+def _put(tree: dict, path: str, value) -> None:
+    """Set `value` at the dotted `path` of a nested dict."""
+    *sections, name = path.split(".")
+    for section in sections:
+        tree = tree.setdefault(section, {})
+    tree[name] = value
+
+
+def _plain(value):
+    """A config value as JSON data: tuples as lists, a policy as its boundaries."""
+    if isinstance(value, GroundStation):
+        return dict(vars(value))
+    if isinstance(value, BlockingPolicy):
+        value = value.boundaries
+    if isinstance(value, tuple):
+        composite = (tuple, GroundStation, BlockingPolicy)
+        return [_plain(v) if isinstance(v, composite) else v for v in value]
+    return value
+
+
+def _flatten(data: dict) -> dict:
+    """Values by dotted JSON key path; an unknown key or non-object section is an error."""
+    flat = {}
+    for name, value in data.items():
+        if name not in _SECTIONS:
+            items = {(name,): value}
+        elif isinstance(value, dict):
+            items = {(name, inner): v for inner, v in value.items()}
+        else:
+            raise ConfigError(f"{name}: must be an object, got {value!r}")
+        for path, v in items.items():
+            if path not in _KEYS:
+                raise ConfigError(f"unknown config key {'.'.join(path)!r}")
+            flat[".".join(path)] = v
+    return flat
+
+
+_field_types = cache(get_type_hints)  # evaluating annotations costs more than a whole load
+
+
+def _build(cls, values: dict):
+    """A `cls` dataclass from nested attribute values; a missing field keeps its default."""
+    types = _field_types(cls)
+    return cls(**{k: _build(types[k], v) if isinstance(v, dict) else v for k, v in values.items()})
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a validated config from parsed JSON, applying defaults."""
+    """A validated config from parsed JSON; a missing value keeps its dataclass default."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
+    flat = _flatten(data)
+    values: dict = {}
     try:
-        c = data.get("constellation", {})
-        altitudes = tuple(float(a) for a in data.get("altitudes_m", DEFAULT_ALTITUDES))
-        constellation = ConstellationConfig(
-            altitude=altitudes[0],
-            rings=int(c.get("rings", 20)),
-            sats_per_ring=int(c.get("sats_per_ring", 20)),
-            raan_span=float(c.get("raan_span_rad", math.pi)),
-            interplane_phase=float(c.get("interplane_phase_rad", 0.0)),
-        )
-        if "stations" in data:
-            stations = tuple(
-                GroundStation(s["name"], float(s["latitude"]), float(s["longitude"]))
-                for s in data["stations"]
-            )
-        else:
-            stations = DEFAULT_STATIONS
-        pairs = tuple(
-            (p[0], p[1]) for p in data.get("pairs", [list(q) for q in DEFAULT_PAIRS])
-        )
-        s = data.get("source", {})
-        source = SourceConfig(
-            pair_rate=float(s.get("pair_rate", 1e9)),
-            pump_power=float(s.get("pump_power", 0.01)),
-            source_fidelity=float(s.get("source_fidelity", 1.0)),
-        )
-        o = data.get("optics", {})
-        optics = OpticsConfig(
-            beam_divergence=float(o.get("beam_divergence_rad", 10e-6)),
-            rx_aperture_diameter=float(o.get("rx_aperture_diameter_m", 1.0)),
-            rx_efficiency=float(o.get("rx_efficiency", 0.5)),
-            zenith_optical_depth=float(o.get("zenith_optical_depth", 0.7)),
-            dark_rate=float(o.get("dark_rate_hz", 100.0)),
-            gate_time=float(o.get("gate_time_s", 1e-9)),
-        )
-        r = data.get("radiance", {})
-        radiance = RadianceSchedule(
-            interval_scales=tuple(
-                float(x) for x in r.get("interval_scales", (1.0, 20.0, 100.0, 1.0))
-            )
-        )
-        channel = ChannelParams(
-            source=source,
-            optics=optics,
-            radiance=radiance,
-            base_background_flux=float(r.get("base_flux_hz", 3e3)),
-            basis_sift_factor=float(data.get("basis_sift_factor", 0.5)),
-        )
-        sec = data.get("security", {})
-        security = SecurityParams(
-            eps_sec=float(sec.get("eps_sec", 1e-9)),
-            eps_cor=float(sec.get("eps_cor", 1e-15)),
-        )
-        grids = _grids_from_dict(data.get("grids", {}))
-        policies = tuple(
-            BlockingPolicy(tuple(float(b) for b in bounds))
-            for bounds in data.get("policies", [[0.98], [0.90, 0.98]])
-        )
-        return ExperimentConfig(
-            constellation=constellation,
-            altitudes=altitudes,
-            stations=stations,
-            pairs=pairs,
-            channel=channel,
-            security=security,
-            grids=grids,
-            policies=policies,
-            horizon=float(data.get("horizon_s", 86400.0)),
-            time_step=float(data.get("time_step_s", 1.0)),
-            min_elevation=float(data.get("min_elevation_deg", 20.0)),
-        )
+        for key, attr, parse in CONFIG_TABLE:
+            if key in flat:
+                _put(values, attr, parse(flat[key]))
+            elif key in GRID_RANGES:
+                grid, default, names = GRID_RANGES[key]
+                bounds = (type(d)(flat.get(f"grids.{n}", d)) for n, d in zip(names, default))
+                _put(values, attr, grid(*bounds))
+        _put(values, "constellation.altitude", values.get("altitudes", DEFAULT_ALTITUDES)[0])
+        return _build(ExperimentConfig, values)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:

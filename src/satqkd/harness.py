@@ -28,6 +28,7 @@ an integer, any other by `repr`.  `read_trace_csv` accepts this grammar:
 
 - lines end in LF, CRLF or a lone CR; the last may lack its ending;
 - a `#` line anywhere is `key=value` metadata; a blank line is an error;
+  `horizon_s`, if given, is a finite number > 0;
 - a data row is five comma-separated ASCII decimal numbers, spaces and
   tabs around each ignored; `nan`, `inf`, `_` and non-ASCII digits are not
   valid;
@@ -46,7 +47,7 @@ from __future__ import annotations
 import io
 import locale
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,9 +60,11 @@ from .strategy import (
     FidelityTrace,
     SampleColumns,
     StrategyOutcome,
+    best_outcome,
     evaluate_block,
     evaluate_nonblock,
     improvement,
+    optimize_threshold,
 )
 
 _WINDOW = 60  # time steps per coarse window
@@ -214,13 +217,10 @@ def _threshold_summary(outcome: StrategyOutcome) -> str:
 def _rows_for_cell(
     pair: tuple[str, str], altitude: float, outcomes: dict[str, StrategyOutcome]
 ) -> list[ResultRow]:
-    nonblock = outcomes["non-blockwise"]
+    nonblock = outcomes["non-blockwise"].secret_bits
     rows = []
     for label, outcome in outcomes.items():
-        if label == "non-blockwise":
-            imp = None
-        else:
-            imp = improvement(outcome.secret_bits, nonblock.secret_bits)
+        imp = None if label == "non-blockwise" else improvement(outcome.secret_bits, nonblock)
         rows.append(
             ResultRow(
                 pair=pair_name(pair),
@@ -240,28 +240,23 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
     A data or domain error (ValueError, which covers NoDataError and
     ConfigError) in a single (pair, altitude) cell becomes an NA row and the
-    sweep continues; any other exception is a bug and propagates.  Rows come out in (pair, altitude, strategy) order with
-    normalized_bits filled per altitude group.
+    sweep continues; any other exception is a bug and propagates.  Rows come
+    out in (pair, altitude, strategy) order with normalized_bits filled per
+    altitude group; "best-block" is the policies' `best_outcome`.
     """
     rows: list[ResultRow] = []
     for pair in config.pairs:
         for altitude in config.altitudes:
             try:
                 trace = run_trace(config, pair, altitude)
-                outcomes: dict[str, StrategyOutcome] = {
-                    "non-blockwise": evaluate_nonblock(trace, config.grids, config.security)
-                }
-                block_outcomes = []
-                for policy in config.policies:
-                    outcome = evaluate_block(trace, policy, config.grids, config.security)
-                    outcomes[outcome.label] = outcome
-                    block_outcomes.append(outcome)
-                if block_outcomes:
-                    best = None
-                    for outcome in sorted(block_outcomes, key=lambda o: len(o.per_block)):
-                        if best is None or outcome.secret_bits > best.secret_bits:
-                            best = outcome
-                    outcomes["best-block"] = best
+                nonblock = evaluate_nonblock(trace, config.grids, config.security)
+                blocks = [
+                    evaluate_block(trace, policy, config.grids, config.security)
+                    for policy in config.policies
+                ]
+                outcomes = {"non-blockwise": nonblock, **{o.label: o for o in blocks}}
+                if blocks:
+                    outcomes["best-block"] = best_outcome(blocks)
                 rows.extend(_rows_for_cell(pair, altitude, outcomes))
             except ValueError:  # a data or domain error isolates the cell
                 rows.append(
@@ -286,18 +281,7 @@ def _normalize(rows: list[ResultRow]) -> list[ResultRow]:
     out = []
     for row in rows:
         peak = peaks[row.altitude_m]
-        norm = row.secret_bits / peak if peak > 0 else 0.0
-        out.append(
-            ResultRow(
-                pair=row.pair,
-                altitude_m=row.altitude_m,
-                strategy=row.strategy,
-                secret_bits=row.secret_bits,
-                threshold=row.threshold,
-                improvement_pct=row.improvement_pct,
-                normalized_bits=norm,
-            )
-        )
+        out.append(replace(row, normalized_bits=row.secret_bits / peak if peak > 0 else 0.0))
     return out
 
 
@@ -359,7 +343,7 @@ def read_trace_csv(path) -> tuple[FidelityTrace, dict]:
         if not line.startswith(b"#"):
             header = line
             break
-        _meta(_decode(line), meta)
+        _read_meta(line, meta, path, number - 1)
     if header != TRACE_COLUMNS.encode():
         raise ConfigError(f"{path}: not a trace CSV (bad or missing header)")
     body = text[start:]
@@ -390,9 +374,9 @@ def _parse_rows(body: bytes, first: int, meta: dict, path) -> SampleColumns:
     rows = body
     if rows.startswith(b"#") or b"\n#" in rows:  # metadata among the rows
         lines = rows.split(b"\n")
-        for line in lines:
+        for number, line in enumerate(lines, start=first):
             if line.startswith(b"#"):
-                _meta(_decode(line), meta)
+                _read_meta(line, meta, path, number)
         rows = b"\n".join(line for line in lines if not line.startswith(b"#"))
     if not rows:
         return SampleColumns([], [], [], [], [])
@@ -467,6 +451,19 @@ def _decode(line: bytes) -> str:
     return line.decode(locale.getpreferredencoding(False))
 
 
+def _read_meta(line: bytes, meta: dict, path, number: int) -> None:
+    """Add a `#` line to `meta`; a horizon_s that is not a finite number > 0
+    is a ConfigError naming the line."""
+    _meta(_decode(line), meta)
+    if "horizon_s" in meta:
+        try:
+            horizon = float(meta["horizon_s"])
+        except ValueError:
+            horizon = math.nan
+        if not 0.0 < horizon < math.inf:
+            raise ConfigError(f"{path}: line {number}: horizon_s must be a finite number > 0")
+
+
 def _meta(line: str, meta: dict) -> None:
     body = line[1:].strip()
     if "=" in body:
@@ -533,8 +530,6 @@ def threshold_sweep(trace: FidelityTrace, config: ExperimentConfig):
     Returns a list of (theta, best_rate, secret_bits) over the whole grid;
     the basis of the optimal-threshold curve.
     """
-    from .strategy import optimize_threshold
-
     out = []
     for theta in config.grids.thresholds:
         _, rate, result, _ = optimize_threshold(

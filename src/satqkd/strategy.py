@@ -166,23 +166,39 @@ class BlockingPolicy:
         return f"{self.n_blocks}-block"
 
 
-def _default_sampling_rates() -> tuple[float, ...]:
-    return tuple(np.geomspace(1e-5, 0.05, 50))
+RATE_RANGE = (1e-5, 0.05, 50)  # default sampling rates: min, max, points
+THRESHOLD_RANGE = (0.70, 0.90, 0.02)  # default thresholds: min, max, step
 
-def _default_thresholds() -> tuple[float, ...]:
-    return tuple(round(0.70 + 0.02 * i, 2) for i in range(11))
+
+def rate_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
+    """`points` sampling rates spaced geometrically from lo to hi."""
+    if not 0 < lo <= hi:
+        raise ValueError("need 0 < sampling_rate_min <= sampling_rate_max")
+    return tuple(np.geomspace(lo, hi, points))
+
+
+def threshold_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
+    """Thresholds from lo to hi in steps of `step`, each rounded to 10 places."""
+    if not (step > 0 and lo <= hi):
+        raise ValueError("need threshold_step > 0 and threshold_min <= threshold_max")
+    n = int(round((hi - lo) / step)) + 1
+    return tuple(round(lo + i * step, 10) for i in range(n))
 
 
 @dataclass(frozen=True)
 class SearchGrids:
     """Grid-search candidates for sampling rate and fidelity threshold."""
 
-    sampling_rates: tuple[float, ...] = field(default_factory=_default_sampling_rates)
-    thresholds: tuple[float, ...] = field(default_factory=_default_thresholds)
+    sampling_rates: tuple[float, ...] = field(default_factory=lambda: rate_grid(*RATE_RANGE))
+    thresholds: tuple[float, ...] = field(default_factory=lambda: threshold_grid(*THRESHOLD_RANGE))
 
     def __post_init__(self):
         if not self.sampling_rates or not self.thresholds:
             raise ValueError("grids must be nonempty")
+        if any(not 0.0 < r < 1.0 for r in self.sampling_rates):
+            raise ValueError("grids: sampling_rates must lie in (0, 1)")
+        if any(not FIDELITY_FLOOR <= t <= 1.0 for t in self.thresholds):
+            raise ValueError("grids: thresholds must lie in [0.25, 1]")
 
 
 @dataclass(frozen=True)
@@ -384,15 +400,16 @@ def best_blocking(
     grids: SearchGrids,
     params: SecurityParams,
 ) -> StrategyOutcome:
-    """Evaluate every policy and keep the best; ties go to fewer blocks."""
-    if not policies:
-        raise ValueError("best_blocking needs at least one policy")
-    best = None
-    for policy in sorted(policies, key=lambda p: p.n_blocks):
-        outcome = evaluate_block(trace, policy, grids, params)
-        if best is None or outcome.secret_bits > best.secret_bits:
-            best = outcome
-    return best
+    """Evaluate every policy and keep the best (`best_outcome`)."""
+    return best_outcome([evaluate_block(trace, p, grids, params) for p in policies])
+
+
+def best_outcome(outcomes: Sequence[StrategyOutcome]) -> StrategyOutcome:
+    """The outcome with the most secret bits; ties go to fewer blocks, then
+    to the earlier outcome."""
+    if not outcomes:
+        raise ValueError("no outcomes to choose from")
+    return min(outcomes, key=lambda o: (-o.secret_bits, len(o.per_block)))
 
 
 def improvement(l_block: int, l_nonblock: int) -> float | None:
