@@ -171,9 +171,10 @@ def cmd_compare(args) -> int:
     ]
     for outcome in outcomes:
         print(f"{outcome.label} secret_bits={outcome.secret_bits}")
-    best = best_outcome(outcomes)
-    imp = improvement(best.secret_bits, nonblock.secret_bits)
-    print(f"best={best.label} improvement={harness.format_improvement(imp)}")
+    if outcomes:  # with no policies there is nothing to choose, as in `sweep`
+        best = best_outcome(outcomes)
+        imp = improvement(best.secret_bits, nonblock.secret_bits)
+        print(f"best={best.label} improvement={harness.format_improvement(imp)}")
     return EXIT_OK
 
 

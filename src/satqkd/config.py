@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from operator import attrgetter
 from typing import get_type_hints
@@ -67,7 +67,7 @@ class ExperimentConfig:
         names = {s.name for s in self.stations}
         if len(names) != len(self.stations):
             raise ConfigError("stations: duplicate station names")
-        for a, b in self.pairs:
+        for i, (a, b) in enumerate(self.pairs):
             for name in (a, b):
                 if name not in names:
                     raise ConfigError(
@@ -75,6 +75,8 @@ class ExperimentConfig:
                     )
             if a == b:
                 raise ConfigError(f"pairs: pair {a}-{b} repeats one station")
+            if (a, b) in self.pairs[:i]:
+                raise ConfigError(f"pairs: pair {a}-{b} is listed twice")
         if self.horizon <= 0 or self.time_step <= 0:
             raise ConfigError("horizon and time_step must be > 0")
         if self.horizon % self.time_step != 0:
@@ -114,10 +116,26 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+_STATION_KEYS = {f.name for f in fields(GroundStation)}
+
+
 def _stations(values) -> tuple[GroundStation, ...]:
+    for i, s in enumerate(values):
+        if not isinstance(s, dict):
+            raise ConfigError(f"stations[{i}]: must be an object, got {s!r}")
+        unknown = sorted(s.keys() - _STATION_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config key 'stations[{i}].{unknown[0]}'")
     return tuple(
         GroundStation(s["name"], float(s["latitude"]), float(s["longitude"])) for s in values
     )
+
+
+def _pairs(values) -> tuple[tuple[str, str], ...]:
+    for i, p in enumerate(values):
+        if not isinstance(p, (list, tuple)) or len(p) != 2:
+            raise ConfigError(f"pairs[{i}]: a pair is a list of two station names, got {p!r}")
+    return tuple((p[0], p[1]) for p in values)
 
 
 # Every config value once: its JSON key path, its attribute path on
@@ -129,7 +147,7 @@ CONFIG_TABLE = (
     ("constellation.interplane_phase_rad", "constellation.interplane_phase", float),
     ("altitudes_m", "altitudes", _floats),
     ("stations", "stations", _stations),
-    ("pairs", "pairs", lambda values: tuple((p[0], p[1]) for p in values)),
+    ("pairs", "pairs", _pairs),
     ("source.pair_rate", "channel.source.pair_rate", float),
     ("source.pump_power", "channel.source.pump_power", float),
     ("source.source_fidelity", "channel.source.source_fidelity", float),

@@ -4,23 +4,30 @@ A trace picks, every time step, the satellite visible from both stations
 that delivers the highest fidelity.  `run_trace` finds it with an exact
 coarse-to-fine search instead of evaluating all satellites every step:
 
-- coarse: the constellation is propagated once per window of `_WINDOW`
-  steps, at the window's centre.  A (window, satellite) pair is kept only
-  if the satellite lies inside both stations' visibility cones, each
-  widened by the angle it can turn through in half a window,
-  `max_angle_rate * (_WINDOW - 1) / 2 * time_step`, plus a float guard
-  (see the `orbit` module docstring).  No satellite outside the widened
-  cones can be visible anywhere in the window, so pruning drops nothing.
+- coarse, in two levels: the constellation is propagated once per outer
+  window of `_OUTER` steps, at the window's centre, and a (window,
+  satellite) pair is kept only if the satellite lies inside both stations'
+  visibility cones, each widened by the angle it can turn through in half
+  a window, `max_angle_rate * (_OUTER - 1) / 2 * time_step`, plus a float
+  guard (see the `orbit` module docstring).  Each survivor is then tested
+  the same way at the centre of every inner window of `_WINDOW` steps in
+  its outer window, with the cones widened by that window's half-width.
+  No satellite outside a window's widened cones can be visible anywhere in
+  the window, so neither level drops a visible satellite.
 - fine: each kept pair gets per-step positions, elevations and the link
   budget, through the same `orbit` and `channel` functions and in the same
   element-wise arithmetic as an evaluation of every satellite, so the
-  samples are bit-identical to that brute-force search.
+  samples are bit-identical to that brute-force search.  Earth's rotation
+  is evaluated once per step and gathered.  The candidates come ordered by
+  step, so each step's best satellite (highest fidelity, ties to the
+  lowest index) is found in one linear pass over per-step runs.
 
-Windows are handled in batches so memory stays flat over long horizons.
-The search's per-step arrays become the trace's columns (`SampleColumns`)
-as they are, with no per-second object, and go to the strategy layer.  All outputs are CSV with
-a leading comment block that records the resolved config hash, so results
-are attributable to the exact configuration that produced them.
+Outer windows are handled in batches so memory stays flat over long
+horizons.  The search's per-step arrays become the trace's columns
+(`SampleColumns`) as they are, with no per-second object, and go to the
+strategy layer.  All outputs are CSV with a leading comment block that
+records the resolved config hash, so results are attributable to the
+exact configuration that produced them.
 
 A trace CSV has one row per time step, `time_s,sat_ring,sat_slot,fidelity,
 sifted_bits`, and the writer puts time down losslessly: an integral time as
@@ -67,8 +74,9 @@ from .strategy import (
     optimize_threshold,
 )
 
-_WINDOW = 60  # time steps per coarse window
-_BATCH_WINDOWS = 64  # coarse windows per batch
+_WINDOW = 20  # time steps per inner coarse window
+_OUTER = 24 * _WINDOW  # time steps per outer coarse window
+_BATCH = 8 * _OUTER  # time steps per batch
 _ANGLE_GUARD = 1e-6  # rad; covers rounding in the cone test
 
 TRACE_COLUMNS = "time_s,sat_ring,sat_slot,fidelity,sifted_bits"
@@ -108,9 +116,8 @@ def run_trace(
     best = np.full(n_steps, -1)
     fid = np.full(n_steps, np.nan)
     bits = np.zeros(n_steps)
-    batch = _WINDOW * _BATCH_WINDOWS
-    for start in range(0, n_steps, batch):
-        steps, sats = _candidates(config, const, stations, start, min(start + batch, n_steps))
+    for start in range(0, n_steps, _BATCH):
+        steps, sats = _candidates(config, const, stations, start, min(start + _BATCH, n_steps))
         if len(steps):
             served, sat, f, b = _best_links(config, const, stations, times, p_click, steps, sats)
             best[served], fid[served], bits[served] = sat, f, b
@@ -143,24 +150,63 @@ def _click_probs(times: np.ndarray, chan: ch.ChannelParams) -> np.ndarray:
 
 def _candidates(config, const, stations, start, stop):
     """Coarse pass over steps [start, stop): the (step, satellite) pairs whose
-    satellite is inside both widened cones at its window's centre."""
-    reach = (
+    satellite is inside both widened cones at the centre of its outer window
+    and at the centre of its inner window, ordered by step, then satellite.
+
+    Every satellite is tested once per outer window, and only the survivors
+    once per inner window.
+    """
+    first, last = _windows(start, stop, _OUTER)
+    pos = orbit.propagate_positions(const, (first + last) / 2 * config.time_step)
+    outer, sats = np.nonzero(_inside(pos, stations, _reach(config, const, _OUTER)))
+    first, last = _windows(start, stop, _WINDOW)
+    # each surviving (outer window, satellite) to the inner windows it holds
+    inner, sats = _expand(outer, sats, *_windows(0, len(first), _OUTER // _WINDOW))
+    pos = orbit.sat_positions(const, (first[inner] + last[inner]) / 2 * config.time_step, sats)
+    near = _inside(pos, stations, _reach(config, const, _WINDOW))
+    return _expand(inner[near], sats[near], first, last)
+
+
+def _windows(start, stop, width):
+    """First and last step of each window of `width` steps over [start, stop)."""
+    first = np.arange(start, stop, width)
+    return first, np.minimum(first + width, stop) - 1
+
+
+def _reach(config, const, width):
+    """Cone half-angle (rad) widened by the angle a satellite can turn
+    through in half a window of `width` steps, plus a float guard."""
+    return (
         orbit.coverage_half_angle(const.altitude, config.min_elevation)
-        + orbit.max_angle_rate(const.altitude) * (_WINDOW - 1) / 2 * config.time_step
+        + orbit.max_angle_rate(const.altitude) * (width - 1) / 2 * config.time_step
         + _ANGLE_GUARD
     )
-    first = np.arange(start, stop, _WINDOW)
-    last = np.minimum(first + _WINDOW, stop) - 1
-    pos = orbit.propagate_positions(const, (first + last) / 2 * config.time_step)
+
+
+def _inside(pos, stations, reach):
+    """Whether each position (..., 3) lies within `reach` of both stations."""
     limit = math.cos(min(reach, math.pi)) * np.linalg.norm(pos, axis=-1)
-    near = np.ones(pos.shape[:2], dtype=bool)
+    near = np.ones(pos.shape[:-1], dtype=bool)
     for station in stations:
         near &= pos @ (station / np.linalg.norm(station)) >= limit
-    win, sats = np.nonzero(near)
-    # expand each kept (window, satellite) to every step of its window
-    counts = last[win] - first[win] + 1
-    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(first[win], counts) + offsets, np.repeat(sats, counts)
+    return near
+
+
+def _expand(group, sats, first, last):
+    """Each (group, satellite) pair to every (index, satellite) with index in
+    [first[group], last[group]].
+
+    `group` is non-decreasing and `sats` ascending within a group, and the
+    groups' index ranges ascend without overlap, so the output is ordered
+    by index, then satellite.
+    """
+    per_group = np.bincount(group, minlength=len(first))
+    size = per_group * (last - first + 1)
+    owner = np.repeat(np.arange(len(first)), size)
+    row, col = np.divmod(
+        np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size), per_group[owner]
+    )
+    return first[owner] + row, sats[(np.cumsum(per_group) - per_group)[owner] + col]
 
 
 def _elevations(pos: np.ndarray, station: np.ndarray) -> np.ndarray:
@@ -182,13 +228,17 @@ def _arm(el: np.ndarray, altitude: float, optics) -> np.ndarray:
 
 
 def _best_links(config, const, stations, times, p_click, steps, sats):
-    """Fine pass over candidate (step, satellite) pairs: the link budget of
-    every dual-visible pair, then the best satellite of each step.
+    """Fine pass over candidate (step, satellite) pairs, ordered by step and
+    then satellite: the link budget of every dual-visible pair, then the
+    best satellite of each step.
 
     Returns the served steps and their satellite, fidelity and sifted bits.
     """
     chan = config.channel
-    pos = orbit.sat_positions(const, times[steps], sats)
+    # Earth's rotation once per step of the batch, gathered per candidate
+    cos_t, sin_t = orbit._rotation(times[steps[0] : steps[-1] + 1])
+    local = steps - steps[0]
+    pos = orbit._sat_positions(const, times[steps], sats, (cos_t[local], sin_t[local]))
     el_a, el_b = (_elevations(pos, station) for station in stations)
     mask = (el_a >= config.min_elevation) & (el_b >= config.min_elevation)
     steps, sats, el_a, el_b = steps[mask], sats[mask], el_a[mask], el_b[mask]
@@ -201,9 +251,13 @@ def _best_links(config, const, stations, times, p_click, steps, sats):
     fid = ch.delivered_fidelity(p_signal, p_acc, chan.source.source_fidelity)
     bits = chan.source.pair_rate * (p_signal + p_acc) * chan.basis_sift_factor
 
-    # per step: highest fidelity, then lowest index (np.argmax's tie rule)
-    order = np.lexsort((sats, -fid, steps))
-    lead = order[np.diff(steps[order], prepend=-1) != 0]
+    # per step: highest fidelity, then lowest index (np.argmax's tie rule);
+    # each step's pairs are one run with satellites ascending, so the first
+    # pair of a run at its run's maximum wins
+    starts = np.flatnonzero(np.diff(steps, prepend=-1))
+    top = np.maximum.reduceat(fid, starts)
+    at_top = np.flatnonzero(fid == np.repeat(top, np.diff(starts, append=len(steps))))
+    lead = at_top[np.diff(steps[at_top], prepend=-1) != 0]
     return steps[lead], sats[lead], fid[lead], bits[lead]
 
 

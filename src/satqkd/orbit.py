@@ -15,6 +15,12 @@ orbital rate plus Earth's rotation rate, `2 pi / T + omega_E`
 (`max_angle_rate`), so over dt seconds that angle moves by at most this
 rate times dt.  A satellite outside a station's cone widened by that much
 at one instant is invisible from the station for the dt either side.
+
+The bound holds for any dt, so a search can apply it at two levels: test
+every satellite at the centre of a long window, with the cone widened by
+that window's half-width, then test only the survivors at the centres of
+the short windows inside it, each with its own smaller widening.  A
+satellite dropped at either level is invisible throughout its window.
 """
 
 from __future__ import annotations
@@ -107,13 +113,19 @@ def _ring_geometry(config: ConstellationConfig):
     return radius, rate, phase, np.cos(raan), np.sin(raan)
 
 
-def _earth_fixed(radius, anomaly, cos_o, sin_o, theta):
+def _rotation(times) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and sine of Earth's rotation angle at each time."""
+    theta = EARTH_ROTATION_RAD_S * np.asarray(times, dtype=float)
+    return np.cos(theta), np.sin(theta)
+
+
+def _earth_fixed(radius, anomaly, cos_o, sin_o, rotation):
     """Position of a polar-orbit satellite, stacked on a new last axis.
 
     `anomaly` is the in-plane angle from the ascending node, (cos_o, sin_o)
-    the node direction and `theta` Earth's rotation angle (None for the
-    inertial frame); all broadcast.  Every propagation path goes through
-    this one formula, so they agree bit for bit.
+    the node direction and `rotation` the (cosine, sine) of Earth's rotation
+    angle (None for the inertial frame); all broadcast.  Every propagation
+    path goes through this one formula, so they agree bit for bit.
     """
     cos_u = np.cos(anomaly)
     sin_u = np.sin(anomaly)
@@ -123,9 +135,8 @@ def _earth_fixed(radius, anomaly, cos_o, sin_o, theta):
     y = radius * cos_u * sin_o
     z = radius * sin_u
 
-    if theta is not None:
-        cos_t = np.cos(theta)
-        sin_t = np.sin(theta)
+    if rotation is not None:
+        cos_t, sin_t = rotation
         x, y = x * cos_t + y * sin_t, -x * sin_t + y * cos_t
 
     return np.stack([x, y, z], axis=-1)
@@ -146,8 +157,8 @@ def propagate_positions(
 
     # anomaly (T, R, S): in-plane angle measured from the ascending node
     anomaly = phase[None, :, :] + rate * times[:, None, None]
-    theta = EARTH_ROTATION_RAD_S * times[:, None, None] if earth_rotation else None
-    pos = _earth_fixed(radius, anomaly, cos_o[None, :, None], sin_o[None, :, None], theta)
+    rotation = _rotation(times[:, None, None]) if earth_rotation else None
+    pos = _earth_fixed(radius, anomaly, cos_o[None, :, None], sin_o[None, :, None], rotation)
     return pos.reshape(len(times), config.n_sats, 3)
 
 
@@ -158,13 +169,18 @@ def sat_positions(config: ConstellationConfig, times, sats) -> np.ndarray:
     `propagate_positions(config, times)[k, sats[k]]` bit for bit.
     """
     times = np.asarray(times, dtype=float)
+    return _sat_positions(config, times, sats, _rotation(times))
+
+
+def _sat_positions(config: ConstellationConfig, times, sats, rotation) -> np.ndarray:
+    """`sat_positions` with Earth's rotation given as its (cosine, sine) at
+    each time, so a caller with many satellites per time step can compute
+    them once per step (`_rotation`) and gather them."""
     sats = np.asarray(sats)
     radius, rate, phase, cos_o, sin_o = _ring_geometry(config)
     rings = sats // config.sats_per_ring
     anomaly = phase.reshape(-1)[sats] + rate * times
-    return _earth_fixed(
-        radius, anomaly, cos_o[rings], sin_o[rings], EARTH_ROTATION_RAD_S * times
-    )
+    return _earth_fixed(radius, anomaly, cos_o[rings], sin_o[rings], rotation)
 
 
 def propagate(

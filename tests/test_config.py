@@ -249,6 +249,7 @@ def config_docs(draw):
         "pairs": st.lists(
             st.sampled_from([["Toronto", "DC"], ["DC", "Houston"], ["Houston", "Toronto"]]),
             max_size=3,
+            unique_by=tuple,
         ),
         "source.pair_rate": st.floats(1e3, 1e10, **_FINITE),
         "source.pump_power": st.floats(0.0, 1.0, **_FINITE),
@@ -492,3 +493,76 @@ def test_written_horizon_reads_back(tmp_path):
     path = tmp_path / "trace.csv"
     harness.emit_trace_csv(_plateau(0.99, 1e6, 10), path)
     assert harness.read_trace_csv(path)[0].horizon == 10.0
+
+
+# -- list items: pairs and stations -------------------------------------------------
+
+STATIONS = [
+    {"name": "DC", "latitude": 38.9072, "longitude": -77.0369},
+    {"name": "Toronto", "latitude": 43.6532, "longitude": -79.3832},
+]
+
+
+class TestListItems:
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [["Toronto", "DC"], ["Toronto", "DC"]],
+            [["Toronto", "DC"], ["DC", "Houston"], ["Toronto", "DC"]],
+        ],
+    )
+    def test_repeated_pair(self, pairs):
+        with pytest.raises(ConfigError, match="^pairs: pair Toronto-DC is listed twice"):
+            config_from_dict({"pairs": pairs})
+
+    def test_repeated_pair_on_the_dataclass(self):
+        with pytest.raises(ConfigError, match="^pairs: "):
+            ExperimentConfig(pairs=(("DC", "Houston"), ("DC", "Houston")))
+
+    def test_reversed_pair_is_another_cell(self):
+        config = config_from_dict({"pairs": [["Toronto", "DC"], ["DC", "Toronto"]]})
+        assert config.pairs == (("Toronto", "DC"), ("DC", "Toronto"))
+
+    @pytest.mark.parametrize(
+        "pair", [["Toronto", "DC", "Houston"], ["Toronto"], [], "TD", {"a": "Toronto"}]
+    )
+    def test_pair_of_other_than_two_names(self, pair):
+        with pytest.raises(ConfigError, match=r"^pairs\[1\]: a pair is a list of two"):
+            config_from_dict({"pairs": [["DC", "Houston"], pair]})
+
+    def test_station_with_unknown_key(self):
+        stations = [STATIONS[0], {**STATIONS[1], "elevation_m": 100}]
+        with pytest.raises(ConfigError, match=r"^unknown config key 'stations\[1\]\.elevation_m'"):
+            config_from_dict({"stations": stations, "pairs": [["Toronto", "DC"]]})
+
+    @pytest.mark.parametrize("station", [["DC", 38.9, -77.0], "DC", None])
+    def test_station_must_be_an_object(self, station):
+        with pytest.raises(ConfigError, match=r"^stations\[0\]: must be an object"):
+            config_from_dict({"stations": [station, STATIONS[1]], "pairs": []})
+
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    def test_cli_exits_2_on_repeated_pair(self, command, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        doc = {"pairs": [["Toronto", "DC"], ["Toronto", "DC"]], "horizon_s": 60.0}
+        path.write_text(json.dumps(doc))
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "config error: pairs: " in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_cli_pair_flag_given_twice(self, tmp_path, capsys):
+        argv = ["sweep", "--pair", "Toronto:DC", "--pair", "Toronto:DC", "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert "listed twice" in capsys.readouterr().err
+
+
+def test_compare_without_policies(tmp_path, capsys):
+    """`compare` with no policies prints the non-blockwise line only, as
+    `sweep` with that config writes no blockwise row."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TIE_DOC, "policies": []}))
+    trace = tmp_path / "trace.csv"
+    harness.emit_trace_csv(_plateau(0.99, 1e6, 100), trace)
+    assert cli.main(["compare", "--config", str(config), "--trace", str(trace)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("non-blockwise secret_bits=")
+    assert int(lines[0].split("=")[1]) > 0

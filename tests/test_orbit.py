@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satqkd import orbit
 from satqkd.orbit import (
     EARTH_RADIUS_M,
     ConstellationConfig,
@@ -239,6 +240,20 @@ class TestCoarseToFineBounds:
         ti = rng.integers(0, 30, size=500)
         si = rng.integers(0, cfg.n_sats, size=500)
         assert np.array_equal(sat_positions(cfg, times[ti], si), dense[ti, si])
+
+    @pytest.mark.parametrize("time_step", [0.5, 1.0, 7.0])
+    def test_per_step_rotation_matches_sat_positions_bit_for_bit(self, time_step):
+        """Earth's rotation computed once per step of a batch and gathered,
+        as run_trace's fine pass does, gives `sat_positions` bit for bit."""
+        cfg = ConstellationConfig(altitude=700e3, interplane_phase=0.4)
+        rng = np.random.default_rng(12)
+        times = np.arange(50_000) * time_step
+        steps = np.sort(rng.integers(1000, len(times), size=5000))
+        sats = rng.integers(0, cfg.n_sats, size=5000)
+        cos_t, sin_t = orbit._rotation(times[steps[0] : steps[-1] + 1])
+        local = steps - steps[0]
+        got = orbit._sat_positions(cfg, times[steps], sats, (cos_t[local], sin_t[local]))
+        assert np.array_equal(got, sat_positions(cfg, times[steps], sats))
 
     @pytest.mark.parametrize("altitude", [500e3, 1300e3])
     @pytest.mark.parametrize("min_elevation", [0.0, 20.0, 60.0])
