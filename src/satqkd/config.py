@@ -5,15 +5,17 @@ once, with its JSON key, its attribute on `ExperimentConfig` and its parser;
 `to_dict` and `config_from_dict` both follow it.  Every value is optional
 and falls back to the dataclass defaults, which the shipped
 configs/default.json repeats; a search grid may also be given as a range
-(`GRID_RANGES`).  An unknown key is an error.  Station coordinates are
-public geographic facts; the radiance scales and optics values are invented
-calibration defaults.
+(`GRID_RANGES`).  An unknown key is an error, and so is a number that is
+not finite (Python's `json` reads `NaN` and `Infinity`).  Station
+coordinates are public geographic facts; the radiance scales and optics
+values are invented calibration defaults.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from operator import attrgetter
@@ -225,6 +227,19 @@ def _flatten(data: dict) -> dict:
     return flat
 
 
+def _finite(path: str, value) -> None:
+    """Raise ConfigError naming the first number in a JSON value that is not
+    finite, by its key path."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: must be a finite number, got {value!r}")
+    if isinstance(value, dict):
+        for name, item in value.items():
+            _finite(f"{path}.{name}", item)
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _finite(f"{path}[{i}]", item)
+
+
 _field_types = cache(get_type_hints)  # evaluating annotations costs more than a whole load
 
 
@@ -239,15 +254,21 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
     flat = _flatten(data)
+    for key, value in flat.items():
+        _finite(key, value)
     values: dict = {}
     try:
         for key, attr, parse in CONFIG_TABLE:
             if key in flat:
-                _put(values, attr, parse(flat[key]))
+                value = parse(flat[key])
             elif key in GRID_RANGES:
                 grid, default, names = GRID_RANGES[key]
                 bounds = (type(d)(flat.get(f"grids.{n}", d)) for n, d in zip(names, default))
-                _put(values, attr, grid(*bounds))
+                value = grid(*bounds)
+            else:
+                continue
+            _finite(key, _plain(value))  # a string such as "nan" parses to one
+            _put(values, attr, value)
         _put(values, "constellation.altitude", values.get("altitudes", DEFAULT_ALTITUDES)[0])
         return _build(ExperimentConfig, values)
     except ConfigError:

@@ -14,6 +14,25 @@ coarse-to-fine search instead of evaluating all satellites every step:
   its outer window, with the cones widened by that window's half-width.
   No satellite outside a window's widened cones can be visible anywhere in
   the window, so neither level drops a visible satellite.
+- bound: within an inner window each station's geocentric angle gamma
+  stays within delta of its value at the window centre, delta being that
+  window's widening, guard included.  Elevation falls with gamma on
+  [0, pi], so `el(gamma + delta) <= elevation <= el(gamma - delta)` at
+  every step, both angles clamped to [0, pi].  Transmissivity rises with
+  elevation and delivered fidelity rises with both arms' transmissivity
+  and falls with the click probability, whose range is taken over every
+  step of the window.  So each pair gets a best-case fidelity (upper
+  elevations, lowest click probability) and a worst-case one (lower
+  elevations, highest click probability), through the same `channel`
+  functions as the fine pass.  A satellite whose lower elevations clear
+  `min_elevation` at both stations is visible at every step, and a pair
+  whose best case times `1 + _FIDELITY_MARGIN` is below such a
+  satellite's worst case times `1 - _FIDELITY_MARGIN` loses to it at
+  every step, ties included, so it is dropped; the margin covers rounding.
+  The bound evaluates no elevation below `_EL_MIN`, and a bound with no
+  coincidences to divide by (zero click probability, zero transmissivity)
+  keeps the pair, so the bound raises nowhere the fine pass would not.
+  Windows with a single candidate are left alone.
 - fine: each kept pair gets per-step positions, elevations and the link
   budget, through the same `orbit` and `channel` functions and in the same
   element-wise arithmetic as an evaluation of every satellite, so the
@@ -78,6 +97,8 @@ _WINDOW = 20  # time steps per inner coarse window
 _OUTER = 24 * _WINDOW  # time steps per outer coarse window
 _BATCH = 8 * _OUTER  # time steps per batch
 _ANGLE_GUARD = 1e-6  # rad; covers rounding in the cone test
+_EL_MIN = 1e-6  # deg; lowest elevation the fidelity bound evaluates
+_FIDELITY_MARGIN = 1e-9  # relative; covers rounding in the fidelity bound
 
 TRACE_COLUMNS = "time_s,sat_ring,sat_slot,fidelity,sifted_bits"
 RESULT_COLUMNS = "pair,altitude_m,strategy,secret_bits,threshold,improvement_pct,normalized_bits"
@@ -117,7 +138,8 @@ def run_trace(
     fid = np.full(n_steps, np.nan)
     bits = np.zeros(n_steps)
     for start in range(0, n_steps, _BATCH):
-        steps, sats = _candidates(config, const, stations, start, min(start + _BATCH, n_steps))
+        windows = _window_search(config, const, stations, start, min(start + _BATCH, n_steps))
+        steps, sats = _expand(*_can_win(config, const, stations, p_click, *windows))
         if len(steps):
             served, sat, f, b = _best_links(config, const, stations, times, p_click, steps, sats)
             best[served], fid[served], bits[served] = sat, f, b
@@ -148,10 +170,12 @@ def _click_probs(times: np.ndarray, chan: ch.ChannelParams) -> np.ndarray:
     return per_interval[interval]
 
 
-def _candidates(config, const, stations, start, stop):
-    """Coarse pass over steps [start, stop): the (step, satellite) pairs whose
-    satellite is inside both widened cones at the centre of its outer window
-    and at the centre of its inner window, ordered by step, then satellite.
+def _window_search(config, const, stations, start, stop):
+    """Coarse pass over steps [start, stop): the (inner window, satellite)
+    pairs whose satellite is inside both widened cones at the centre of its
+    outer window and at the centre of its inner window, ordered by window,
+    then satellite; then the inner windows' first and last steps and each
+    pair's position at its window's centre.
 
     Every satellite is tested once per outer window, and only the survivors
     once per inner window.
@@ -164,7 +188,14 @@ def _candidates(config, const, stations, start, stop):
     inner, sats = _expand(outer, sats, *_windows(0, len(first), _OUTER // _WINDOW))
     pos = orbit.sat_positions(const, (first[inner] + last[inner]) / 2 * config.time_step, sats)
     near = _inside(pos, stations, _reach(config, const, _WINDOW))
-    return _expand(inner[near], sats[near], first, last)
+    return inner[near], sats[near], first, last, pos[near]
+
+
+def _candidates(config, const, stations, start, stop):
+    """Every (step, satellite) pair of steps [start, stop) that the window
+    search keeps, ordered by step, then satellite: a superset of the pairs
+    at or above min_elevation from both stations."""
+    return _expand(*_window_search(config, const, stations, start, stop)[:4])
 
 
 def _windows(start, stop, width):
@@ -173,14 +204,18 @@ def _windows(start, stop, width):
     return first, np.minimum(first + width, stop) - 1
 
 
-def _reach(config, const, width):
-    """Cone half-angle (rad) widened by the angle a satellite can turn
-    through in half a window of `width` steps, plus a float guard."""
+def _turn(config, const, width):
+    """Bound (rad) on the geocentric angle a satellite can turn through in
+    half a window of `width` steps, plus a float guard."""
     return (
-        orbit.coverage_half_angle(const.altitude, config.min_elevation)
-        + orbit.max_angle_rate(const.altitude) * (width - 1) / 2 * config.time_step
-        + _ANGLE_GUARD
+        orbit.max_angle_rate(const.altitude) * (width - 1) / 2 * config.time_step + _ANGLE_GUARD
     )
+
+
+def _reach(config, const, width):
+    """Cone half-angle (rad) widened by `_turn`."""
+    cone = orbit.coverage_half_angle(const.altitude, config.min_elevation)
+    return cone + _turn(config, const, width)
 
 
 def _inside(pos, stations, reach):
@@ -207,6 +242,71 @@ def _expand(group, sats, first, last):
         np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size), per_group[owner]
     )
     return first[owner] + row, sats[(np.cumsum(per_group) - per_group)[owner] + col]
+
+
+def _can_win(config, const, stations, p_click, window, sats, first, last, pos):
+    """The (inner window, satellite) pairs of the window search that can
+    serve a step of their window, with the windows' first and last steps.
+
+    A pair is dropped when its best-case fidelity over the window is below
+    the worst-case fidelity of a satellite that is visible at every step of
+    the window (bounds and exactness in the module docstring).
+    """
+    # only a window with two or more satellites can drop one
+    starts = np.flatnonzero(np.diff(window, prepend=-1))
+    size = np.diff(starts, append=len(window))
+    rival = np.flatnonzero(np.repeat(size > 1, size))
+    if not len(rival):
+        return window, sats, first, last
+    group, pos = window[rival], pos[rival]
+
+    # each station's geocentric angle at the window centre, widened both ways
+    up = np.stack([station / np.linalg.norm(station) for station in stations], axis=-1)
+    gamma = np.arccos(np.clip(pos @ up / np.linalg.norm(pos, axis=-1)[:, None], -1.0, 1.0))
+    turn = _turn(config, const, _WINDOW)
+    el_hi = _elevation_at(np.clip(gamma - turn, 0.0, math.pi), const.altitude)
+    el_lo = _elevation_at(np.clip(gamma + turn, 0.0, math.pi), const.altitude)
+    # the click probability's range over every step of each window
+    span, offsets = p_click[first[0] : last[-1] + 1], first - first[0]
+    p_lo = np.minimum.reduceat(span, offsets)[group]
+    p_hi = np.maximum.reduceat(span, offsets)[group]
+
+    # a satellite visible at every step bounds its window's winner from below
+    sure = el_lo.min(axis=1) >= max(config.min_elevation, _EL_MIN)
+    fid = _fidelity_at(
+        np.concatenate([el_hi, el_lo[sure]]), np.concatenate([p_lo, p_hi[sure]]),
+        const, config.channel,
+    )
+    best, worst = fid[: len(group)], np.full(len(group), -math.inf)
+    worst[sure] = fid[len(group) :]
+    # fmax skips an undefined (NaN) bound, and a NaN best is never below
+    runs = np.flatnonzero(np.diff(group, prepend=-1))
+    floor = np.repeat(np.fmax.reduceat(worst, runs), np.diff(runs, append=len(group)))
+    keep = np.ones(len(window), dtype=bool)
+    keep[rival] = ~(best * (1 + _FIDELITY_MARGIN) < floor * (1 - _FIDELITY_MARGIN))
+    return window[keep], sats[keep], first, last
+
+
+def _elevation_at(gamma, altitude):
+    """Elevation (degrees) of a satellite at `altitude` whose geocentric
+    angle from a station is `gamma` in [0, pi] (the `orbit` docstring)."""
+    ratio = orbit.EARTH_RADIUS_M / (orbit.EARTH_RADIUS_M + altitude)
+    return np.degrees(np.arctan2(np.cos(gamma) - ratio, np.sin(gamma)))
+
+
+def _fidelity_at(el, p, const, chan):
+    """Delivered fidelity through arms at elevations `el` (N, 2) in degrees,
+    each raised to at least `_EL_MIN`, with click probability `p`, by the
+    fine pass's functions; NaN where no coincidence can occur."""
+    eta = _arm(np.maximum(el, _EL_MIN), const.altitude, chan.optics)
+    eta_a, eta_b = eta[:, 0], eta[:, 1]
+    p_signal = eta_a * eta_b
+    p_acc = ch.accidental_prob(p, p, eta_a, eta_b)
+    some = p_signal + p_acc > 0
+    fid = ch.delivered_fidelity(
+        np.where(some, p_signal, 1.0), np.where(some, p_acc, 0.0), chan.source.source_fidelity
+    )
+    return np.where(some, fid, math.nan)
 
 
 def _elevations(pos: np.ndarray, station: np.ndarray) -> np.ndarray:

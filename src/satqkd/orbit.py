@@ -21,6 +21,13 @@ every satellite at the centre of a long window, with the cone widened by
 that window's half-width, then test only the survivors at the centres of
 the short windows inside it, each with its own smaller widening.  A
 satellite dropped at either level is invisible throughout its window.
+
+Elevation is a function of that angle alone.  A satellite at altitude h
+and geocentric angle gamma in [0, pi] from a station is at elevation
+`el(gamma) = atan2(cos gamma - R / (R + h), sin gamma)`, which falls
+monotonically from 90 degrees at gamma = 0 to -90 degrees at gamma = pi.
+So an angle known to within dt times `max_angle_rate` bounds the
+elevation from both sides over those dt seconds.
 """
 
 from __future__ import annotations

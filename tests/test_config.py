@@ -566,3 +566,38 @@ def test_compare_without_policies(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("non-blockwise secret_bits=")
     assert int(lines[0].split("=")[1]) > 0
+
+
+# -- numbers that are not finite ---------------------------------------------------
+
+
+NOT_FINITE = [
+    ({"source": {"pair_rate": math.inf}}, "source.pair_rate"),
+    ({"optics": {"beam_divergence_rad": math.nan}}, "optics.beam_divergence_rad"),
+    ({"radiance": {"base_flux_hz": math.nan}}, "radiance.base_flux_hz"),
+    ({"optics": {"dark_rate_hz": math.inf}}, "optics.dark_rate_hz"),
+    ({"optics": {"zenith_optical_depth": math.inf}}, "optics.zenith_optical_depth"),
+    ({"constellation": {"interplane_phase_rad": math.nan}}, "constellation.interplane_phase_rad"),
+    ({"radiance": {"interval_scales": [1, math.nan, 1, 1]}}, r"radiance.interval_scales\[1\]"),
+    ({"constellation": {"rings": math.inf}}, "constellation.rings"),
+    ({"source": {"pair_rate": "-inf"}}, "source.pair_rate"),
+    ({"grids": {"threshold_max": math.nan}}, "grids.threshold_max"),
+]
+
+
+@pytest.mark.parametrize("doc, path", NOT_FINITE)
+def test_number_that_is_not_finite_names_its_path(doc, path):
+    """Python's json reads NaN and Infinity; each is a config error that
+    names its key, never a traceback or a silently wrong number."""
+    with pytest.raises(ConfigError, match=f"^{path}: must be a finite number"):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc, path", NOT_FINITE)
+def test_cli_exits_2_on_number_that_is_not_finite(doc, path, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**doc, "horizon_s": 60.0}))  # NaN/Infinity literals
+    argv = ["sweep", "--config", str(config), "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
