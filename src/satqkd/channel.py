@@ -183,8 +183,10 @@ def _link_budget(
     record: VisibilityRecord,
     altitude: float,
     channel: ChannelParams,
-) -> tuple[float, float]:
-    """Delivered fidelity and sifted bits per second through one visible satellite."""
+) -> tuple[float, float] | None:
+    """Delivered fidelity and sifted bits per second through one visible
+    satellite; None when no coincidence can occur (p_signal + p_accidental
+    is 0), so the satellite delivers nothing."""
     eta = []
     for el in (record.elevation_a, record.elevation_b):
         rng = orbit.slant_range_from_elevation(el, altitude)
@@ -194,6 +196,8 @@ def _link_budget(
     )
     p_signal = pair_delivery_prob(eta[0], eta[1])
     p_acc = accidental_prob(p_click, p_click, eta[0], eta[1])
+    if not p_signal + p_acc > 0:
+        return None
     fidelity = delivered_fidelity(p_signal, p_acc, channel.source.source_fidelity)
     sifted = channel.source.pair_rate * (p_signal + p_acc) * channel.basis_sift_factor
     return fidelity, sifted
@@ -206,12 +210,14 @@ def select_best_satellite(
 ) -> tuple[int, int] | None:
     """Pick the visible satellite with the highest estimated fidelity.
 
-    Ties break toward the lowest (ring, slot) index; empty input gives None.
+    A satellite with no coincidences cannot serve.  Ties break toward the
+    lowest (ring, slot) index; no satellite that can serve gives None.
     """
-    if not candidates:
+    budgets = [(r.sat, _link_budget(r, altitude, channel)) for r in candidates]
+    serving = sorted((sat, budget[0]) for sat, budget in budgets if budget is not None)
+    if not serving:
         return None
-    records = sorted(candidates, key=lambda r: r.sat)  # max keeps the first of equals
-    return max(records, key=lambda r: _link_budget(r, altitude, channel)[0]).sat
+    return max(serving, key=lambda s: s[1])[0]  # max keeps the first of equals
 
 
 def link_sample(
@@ -223,9 +229,9 @@ def link_sample(
 ) -> LinkSample:
     """One second of channel output: serving satellite, fidelity, sifted bits."""
     candidates = orbit.visible_sats(constellation, t, pair, min_elevation)
-    if not candidates:
-        return LinkSample(time=t, fidelity=None, sifted_bits=0.0, sat=None)
     sat = select_best_satellite(candidates, constellation.altitude, channel)
+    if sat is None:
+        return LinkSample(time=t, fidelity=None, sifted_bits=0.0, sat=None)
     record = next(r for r in candidates if r.sat == sat)
     fidelity, sifted = _link_budget(record, constellation.altitude, channel)
     return LinkSample(time=t, fidelity=float(fidelity), sifted_bits=float(sifted), sat=sat)

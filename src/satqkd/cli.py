@@ -2,7 +2,8 @@
 
 Subcommands:
     simulate  config -> per-second trace CSVs
-    keyrate   trace CSV + strategy flags -> key length
+    keyrate   trace CSV + strategy flags -> key length, with each block's
+              finite-key diagnostics (sampling deviation mu, EC leakage)
     optimize  trace CSV -> threshold/sampling sweep CSV
     compare   trace CSV -> blockwise vs non-blockwise + improvement
     sweep     full experiment -> results CSV + plot data
@@ -138,7 +139,7 @@ def cmd_keyrate(args) -> int:
         print(
             f"  block [{b.fidelity_lo:g},{b.fidelity_hi:g}) bits={b.block_bits} "
             f"m={b.test_bits} qber={b.qber:.6f} threshold={theta} rate={rate} "
-            f"secret_bits={b.secret_bits}"
+            f"secret_bits={b.secret_bits} mu={b.mu:.6g} leak={b.ec_leakage:.6g}"
         )
     return EXIT_OK
 

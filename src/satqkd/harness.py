@@ -87,10 +87,10 @@ from .strategy import (
     SampleColumns,
     StrategyOutcome,
     best_outcome,
+    best_per_threshold,
     evaluate_block,
     evaluate_nonblock,
     improvement,
-    optimize_threshold,
 )
 
 _WINDOW = 20  # time steps per inner coarse window
@@ -125,8 +125,9 @@ def run_trace(
     """Per-second link samples for one station pair at one altitude.
 
     Each step is served by the satellite of highest delivered fidelity
-    among those at or above `min_elevation` from both stations; ties go to
-    the lowest ring-major index.
+    among those at or above `min_elevation` from both stations that give
+    coincidences (p_signal + p_accidental > 0); ties go to the lowest
+    ring-major index.
     """
     const = config.constellation_at(altitude)
     stations = [orbit.station_ecef(config.station(name)) for name in pair]
@@ -330,7 +331,8 @@ def _arm(el: np.ndarray, altitude: float, optics) -> np.ndarray:
 def _best_links(config, const, stations, times, p_click, steps, sats):
     """Fine pass over candidate (step, satellite) pairs, ordered by step and
     then satellite: the link budget of every dual-visible pair, then the
-    best satellite of each step.
+    best satellite of each step.  A pair whose coincidence probability
+    p_signal + p_accidental is 0 delivers nothing and does not serve.
 
     Returns the served steps and their satellite, fidelity and sifted bits.
     """
@@ -348,6 +350,10 @@ def _best_links(config, const, stations, times, p_click, steps, sats):
     p = p_click[steps]
     p_signal = eta_a * eta_b
     p_acc = ch.accidental_prob(p, p, eta_a, eta_b)
+    # a pair with no coincidences delivers nothing and cannot serve
+    serves = p_signal + p_acc > 0
+    if not serves.all():
+        steps, sats, p_signal, p_acc = steps[serves], sats[serves], p_signal[serves], p_acc[serves]
     fid = ch.delivered_fidelity(p_signal, p_acc, chan.source.source_fidelity)
     bits = chan.source.pair_rate * (p_signal + p_acc) * chan.basis_sift_factor
 
@@ -682,12 +688,10 @@ def threshold_sweep(trace: FidelityTrace, config: ExperimentConfig):
     """Key length at every threshold grid point (non-blockwise).
 
     Returns a list of (theta, best_rate, secret_bits) over the whole grid;
-    the basis of the optimal-threshold curve.
+    the basis of the optimal-threshold curve.  All thresholds share one
+    batched search (`strategy.best_per_threshold`).
     """
-    out = []
-    for theta in config.grids.thresholds:
-        _, rate, result, _ = optimize_threshold(
-            trace.samples, config.grids, config.security, thresholds=(theta,)
-        )
-        out.append((theta, rate, result.secret_bits))
-    return out
+    return [
+        (theta, rate, result.secret_bits)
+        for theta, rate, result in best_per_threshold(trace.samples, config.grids, config.security)
+    ]

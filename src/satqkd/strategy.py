@@ -20,6 +20,33 @@ to partition the rest into blocks, and how many bits to sacrifice to error
 sampling.  Thresholds and sampling rates are chosen by exhaustive grid
 search; everything here is deterministic, with ties broken toward the
 smaller threshold, the smaller sampling rate, and the fewer blocks.
+
+The grid search over a block (`optimize_threshold`, `best_per_threshold`)
+is exact but evaluates few cells with the scalar formula:
+
+- sums: the block's linked bits and bits * QBER are formed once, and each
+  threshold's totals are `np.sum` over the same time-ordered compacted
+  arrays that `aggregate_qber` sums (`_time_sum`), so every total and QBER
+  is the one the per-threshold path gives.
+- screen: every (threshold, rate) cell's key length is evaluated in one
+  numpy array with `optimize_sampling`'s exact counts and bounded from
+  below and above by `floor(raw -/+ margin)`, clamped to [0, n].  The
+  margin, 1e-9 * (|raw| + n) + 1e-6 bits, covers numpy's rounding, which
+  may differ from `math` in the last bits; it scales with n because
+  raw = n (1 - 2 h) - c can cancel.
+- confirm: only the cells whose upper bound reaches the best lower bound
+  (at least 1) go to `optimize_sampling`, i.e. to the scalar
+  `key_length_nonblock`, in (threshold, rate) order.  A cell left out
+  scores below some other cell, so it can neither win nor tie.  When
+  every cell may score 0, the first threshold's first feasible rate, the
+  winner of that case, is confirmed too.
+- winner: its stats come from `apply_threshold` and `aggregate_qber`.
+
+Every returned `KeyLengthResult` comes from the scalar formula, so the
+outcome is the one a scalar loop over every cell gives.  A threshold the
+screen does not cover (out of [0.25, 1], a total below 2 or of 2**53 and
+more, a QBER outside [0, 0.5], a fidelity outside [0.25, 1]) is searched
+by that loop, which raises where it always did.
 """
 
 from __future__ import annotations
@@ -31,7 +58,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import FIDELITY_FLOOR, LinkSample, fidelity_to_qber
-from .finite_key import KeyLengthResult, SampleCounts, SecurityParams, key_length_nonblock
+from .finite_key import (
+    KeyLengthResult,
+    SampleCounts,
+    SecurityParams,
+    key_length_nonblock,
+    security_term,
+)
 
 
 class NoDataError(ValueError):
@@ -213,6 +246,8 @@ class BlockOutcome:
     threshold: float | None  # None when the block used no discard step
     sampling_rate: float | None
     secret_bits: int
+    mu: float = 0.0  # sampling deviation of the winning cell
+    ec_leakage: float = 0.0  # bits leaked by error correction in the winning cell
 
 
 @dataclass(frozen=True)
@@ -224,16 +259,21 @@ class StrategyOutcome:
     label: str
 
 
+def _time_sum(values: np.ndarray) -> float:
+    """`np.sum` of a column compacted in time order: every total and QBER of
+    the search is taken by this one reduction, so all paths agree bit for bit."""
+    return float(values.sum())
+
+
 def aggregate_qber(samples) -> tuple[float, float]:
     """Total sifted bits and rate-weighted mean QBER over the linked samples."""
     columns = _columns(samples)
     linked = ~np.isnan(columns.fidelity)
     fid, bits = columns.fidelity[linked], columns.bits[linked]
-    total = float(bits.sum())
+    total = _time_sum(bits)
     if len(fid) == 0 or total <= 0.0:
         raise NoDataError("no sifted bits in sample set")
-    qber = float((bits * fidelity_to_qber(fid)).sum() / total)
-    return total, qber
+    return total, _time_sum(bits * fidelity_to_qber(fid)) / total
 
 
 def apply_threshold(samples, theta: float) -> SampleColumns:
@@ -271,16 +311,18 @@ def optimize_sampling(
     qber: float,
     grid: SearchGrids,
     params: SecurityParams,
+    rates: Sequence[float] | None = None,
 ) -> tuple[float, KeyLengthResult]:
     """Grid-search the sampling rate maximizing the key length.
 
-    Ties break toward the smaller rate.
+    `rates` restricts the search to some of the grid's rates, in grid
+    order.  Ties break toward the smaller rate.
     """
     if total_bits < 2:
         raise NoDataError(f"need at least 2 bits to split, got {total_bits}")
     n_total = int(total_bits)
     best = None
-    for rate in grid.sampling_rates:
+    for rate in grid.sampling_rates if rates is None else rates:
         m = max(1, round(rate * n_total))
         n = n_total - m
         if n < 1:
@@ -291,6 +333,11 @@ def optimize_sampling(
     if best is None:
         raise NoDataError("no feasible sampling rate on the grid")
     return best
+
+
+_ZERO = KeyLengthResult(secret_bits=0, raw_value=0.0, mu=0.0, ec_leakage=0.0)
+_SCREEN_MARGIN = (1e-9, 1e-6)  # screen bounds widen by rel * (|raw| + n) + abs bits
+_EXACT = 2.0**53  # totals below this give exact integer counts in float64
 
 
 def optimize_threshold(
@@ -304,32 +351,124 @@ def optimize_threshold(
     `thresholds` overrides the grid's threshold candidates; an empty tuple
     means a single no-discard evaluation.  Ties break toward the smaller
     threshold.  Returns (theta, rate, result, (total_bits, qber, n_samples))
-    for the winning cell; cells with no retainable data score zero.
+    for the winning cell; cells with no retainable data score zero.  The
+    search is the screen and confirmation of the module docstring.
     """
-    candidates: list[float | None] = (
-        list(grids.thresholds) if thresholds is None else list(thresholds)
-    )
+    candidates = list(grids.thresholds) if thresholds is None else list(thresholds)
     if not candidates:
         candidates = [None]
+    best = None
+    for theta, (rate, result, kept) in _best_cells(samples, candidates, grids, params, each=False):
+        if best is None or result.secret_bits > best[2].secret_bits:
+            best = (theta, rate, result, kept)
+    theta, rate, result, kept = best
+    if rate is None:
+        return theta, None, result, (0.0, 0.0, kept)
+    kept = samples if theta is None else apply_threshold(samples, theta)
+    total, qber = aggregate_qber(kept)
+    return theta, rate, result, (total, qber, len(kept))
 
-    zero = KeyLengthResult(secret_bits=0, raw_value=0.0, mu=0.0, ec_leakage=0.0)
-    best_theta: float | None = None
-    best_rate: float | None = None
-    best_result = zero
-    best_stats = (0.0, 0.0, 0)
-    have_best = False
+
+def best_per_threshold(
+    samples, grids: SearchGrids, params: SecurityParams
+) -> list[tuple[float, float | None, KeyLengthResult]]:
+    """(theta, rate, result) of the best sampling rate at each grid threshold
+    on its own, as `optimize_threshold` with that threshold alone would
+    find it; the rate is None when the threshold keeps no usable data."""
+    cells = _best_cells(samples, list(grids.thresholds), grids, params, each=True)
+    return [(theta, rate, result) for theta, (rate, result, _) in cells]
+
+
+def _best_cells(samples, candidates, grids, params, each: bool):
+    """Per candidate threshold in order, the (theta, (rate, result, kept))
+    of its best cell that can win: `kept` counts the samples it keeps and
+    rate is None when it has no data.  A candidate none of whose cells can
+    win is left out.  With `each`, every candidate is searched on its own;
+    otherwise only cells that can win the whole search are confirmed.
+    """
+    sums = _threshold_sums(samples, candidates)  # the block's arrays end here
+    rows = [
+        i for i, (theta, (_, total, weighted)) in enumerate(zip(candidates, sums))
+        if (theta is None or FIDELITY_FLOOR <= theta <= 1.0)
+        and 2.0 <= total < _EXACT and 0.0 <= weighted / total <= 0.5
+    ]
+    totals = np.array([sums[i][1] for i in rows])
+    qbers = np.array([sums[i][2] / sums[i][1] for i in rows])
+    lo, hi = _screen(totals, qbers, grids.sampling_rates, params)
+    top = lo.max(axis=1) if each else np.full(len(rows), lo.max(initial=-1.0))
+    screened = dict(zip(rows, zip(totals.tolist(), qbers.tolist(), lo, hi, top)))
+
+    for i, theta in enumerate(candidates):
+        kept = sums[i][0]
+        if i not in screened:
+            yield theta, _scalar_cell(samples, theta, grids, params)
+            continue
+        total, qber, cell_lo, cell_hi, row_top = screened[i]
+        feasible = np.flatnonzero(cell_lo >= 0)
+        if not len(feasible):
+            yield theta, (None, _ZERO, kept)
+            continue
+        pick = cell_hi >= max(row_top, 1.0)
+        if row_top < 1.0 and (each or i == 0):  # every cell may score 0
+            pick[feasible[0]] = True  # and the first feasible rate then wins
+        if pick.any():
+            rates = [grids.sampling_rates[j] for j in np.flatnonzero(pick)]
+            yield theta, (*optimize_sampling(total, qber, grids, params, rates), kept)
+
+
+def _threshold_sums(samples, candidates) -> list[tuple[int, float, float]]:
+    """(samples kept, total bits, bits-weighted QBER sum) at each candidate
+    threshold, from the sums `aggregate_qber` takes; the weighted sum is NaN
+    where a kept fidelity lies outside [0.25, 1]."""
+    columns = _columns(samples)
+    linked = ~np.isnan(columns.fidelity)
+    fid, bits = columns.fidelity[linked], columns.bits[linked]
+    valid = (FIDELITY_FLOOR <= fid) & (fid <= 1.0)
+    weighted = fidelity_to_qber(fid if valid.all() else np.where(valid, fid, math.nan))
+    weighted *= bits
+    sums = []
     for theta in candidates:
-        kept = samples if theta is None else apply_threshold(samples, theta)
-        try:
-            total, qber = aggregate_qber(kept)
-            rate, result = optimize_sampling(total, qber, grids, params)
-            stats = (total, qber, len(kept))
-        except NoDataError:
-            rate, result, stats = None, zero, (0.0, 0.0, len(kept))
-        if not have_best or result.secret_bits > best_result.secret_bits:
-            best_theta, best_rate, best_result, best_stats = theta, rate, result, stats
-            have_best = True
-    return best_theta, best_rate, best_result, best_stats
+        if theta is None:
+            sums.append((len(columns), _time_sum(bits), _time_sum(weighted)))
+        else:
+            keep = fid >= theta
+            kept = int(np.count_nonzero(keep))
+            sums.append((kept, _time_sum(bits[keep]), _time_sum(weighted[keep])))
+    return sums
+
+
+def _screen(totals, qbers, rates, params) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds lo <= key <= hi on the scalar key length of every (threshold,
+    rate) cell, one row per (total, qber); both are -1 where n < 1.
+
+    The counts are `optimize_sampling`'s, exact below 2**53; the formula is
+    `key_length_nonblock`'s in numpy, whose rounding the margin covers.
+    """
+    n_total = np.trunc(totals)[:, None]
+    m = np.maximum(1.0, np.rint(np.asarray(rates) * n_total))
+    n = n_total - m
+    feasible = n >= 1.0
+    n = np.where(feasible, n, 1.0)
+    mu = np.sqrt((n + m) * (m + 1.0) / (n * m * m) * math.log(2.0 / params.eps_sec))
+    q = np.minimum(qbers[:, None] + mu, 0.5)
+    h = -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q)
+    raw = n * (1.0 - h) - n * h - security_term(params)
+    rel, absolute = _SCREEN_MARGIN
+    margin = rel * (np.abs(raw) + n) + absolute
+    return tuple(
+        np.where(feasible, np.clip(np.floor(raw + d), 0.0, n), -1.0) for d in (-margin, margin)
+    )
+
+
+def _scalar_cell(samples, theta, grids, params):
+    """One candidate threshold searched by the scalar loop alone, for totals
+    the screen does not cover: (rate, result, kept)."""
+    kept = samples if theta is None else apply_threshold(samples, theta)
+    try:
+        total, qber = aggregate_qber(kept)
+        return (*optimize_sampling(total, qber, grids, params), len(kept))
+    except NoDataError:
+        return None, _ZERO, len(kept)
 
 
 def _bucket_outcome(
@@ -352,6 +491,8 @@ def _bucket_outcome(
         threshold=theta,
         sampling_rate=rate,
         secret_bits=result.secret_bits,
+        mu=result.mu,
+        ec_leakage=result.ec_leakage,
     )
 
 

@@ -2,9 +2,10 @@
 
 Evaluates orbit geometry and the full link budget for every satellite at
 every time step, in chunks of time, and picks each step's best satellite
-with `np.argmax`.  This is the dense search `run_trace` used before
-coarse-to-fine pruning; the pruned search must reproduce its samples bit
-for bit.
+with `np.argmax`; a (step, satellite) with no coincidences (p_signal +
+p_accidental == 0) cannot serve.  This is the dense search `run_trace`
+used before coarse-to-fine pruning; the pruned search must reproduce its
+samples bit for bit.
 """
 
 import numpy as np
@@ -60,7 +61,11 @@ def dense_trace(config, pair, altitude) -> FidelityTrace:
         )[:, None]
         p_signal = eta_a * eta_b
         p_acc = ch.accidental_prob(p_click, p_click, eta_a, eta_b)
-        fid = ch.delivered_fidelity(p_signal, p_acc, chan.source.source_fidelity)
+        mask &= p_signal + p_acc > 0  # a pair with no coincidences cannot serve
+        fid = ch.delivered_fidelity(
+            np.where(mask, p_signal, 1.0), np.where(mask, p_acc, 0.0),
+            chan.source.source_fidelity,
+        )
         sifted = chan.source.pair_rate * (p_signal + p_acc) * chan.basis_sift_factor
 
         fid_masked = np.where(mask, fid, -1.0)
