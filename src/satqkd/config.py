@@ -45,6 +45,8 @@ DEFAULT_STATIONS = (
 )
 DEFAULT_PAIRS = (("Toronto", "DC"), ("DC", "Houston"), ("Toronto", "Houston"))
 DEFAULT_ALTITUDES = (500e3, 800e3, 1000e3, 1300e3)
+_NAME_SEPARATORS = frozenset(",-:/\\")  # of CSV fields, pair names, `--pair A:B` and paths
+_NAME_RULE = "need non-empty printable text without , - : / or \\"
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,10 @@ class ExperimentConfig:
         names = {s.name for s in self.stations}
         if len(names) != len(self.stations):
             raise ConfigError("stations: duplicate station names")
+        for name in (s.name for s in self.stations):
+            printable = isinstance(name, str) and name.isprintable() and name
+            if not printable or _NAME_SEPARATORS & set(name):
+                raise ConfigError(f"stations: bad station name {name!r}: {_NAME_RULE}")
         for i, (a, b) in enumerate(self.pairs):
             for name in (a, b):
                 if name not in names:

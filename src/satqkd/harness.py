@@ -23,8 +23,8 @@ coarse-to-fine search instead of evaluating all satellites every step:
   and falls with the click probability, whose range is taken over every
   step of the window.  So each pair gets a best-case fidelity (upper
   elevations, lowest click probability) and a worst-case one (lower
-  elevations, highest click probability), through the same `channel`
-  functions as the fine pass.  A satellite whose lower elevations clear
+  elevations, highest click probability), through the fine pass's link
+  budget (`_link_budget`).  A satellite whose lower elevations clear
   `min_elevation` at both stations is visible at every step, and a pair
   whose best case times `1 + _FIDELITY_MARGIN` is below such a
   satellite's worst case times `1 - _FIDELITY_MARGIN` loses to it at
@@ -274,10 +274,9 @@ def _can_win(config, const, stations, p_click, window, sats, first, last, pos):
 
     # a satellite visible at every step bounds its window's winner from below
     sure = el_lo.min(axis=1) >= max(config.min_elevation, _EL_MIN)
-    fid = _fidelity_at(
-        np.concatenate([el_hi, el_lo[sure]]), np.concatenate([p_lo, p_hi[sure]]),
-        const, config.channel,
-    )
+    el = np.maximum(np.concatenate([el_hi, el_lo[sure]]), _EL_MIN)
+    eta = _arm(el, const.altitude, config.channel.optics)
+    fid, _ = _link_budget(eta[:, 0], eta[:, 1], np.concatenate([p_lo, p_hi[sure]]), config.channel)
     best, worst = fid[: len(group)], np.full(len(group), -math.inf)
     worst[sure] = fid[len(group) :]
     # fmax skips an undefined (NaN) bound, and a NaN best is never below
@@ -293,21 +292,6 @@ def _elevation_at(gamma, altitude):
     angle from a station is `gamma` in [0, pi] (the `orbit` docstring)."""
     ratio = orbit.EARTH_RADIUS_M / (orbit.EARTH_RADIUS_M + altitude)
     return np.degrees(np.arctan2(np.cos(gamma) - ratio, np.sin(gamma)))
-
-
-def _fidelity_at(el, p, const, chan):
-    """Delivered fidelity through arms at elevations `el` (N, 2) in degrees,
-    each raised to at least `_EL_MIN`, with click probability `p`, by the
-    fine pass's functions; NaN where no coincidence can occur."""
-    eta = _arm(np.maximum(el, _EL_MIN), const.altitude, chan.optics)
-    eta_a, eta_b = eta[:, 0], eta[:, 1]
-    p_signal = eta_a * eta_b
-    p_acc = ch.accidental_prob(p, p, eta_a, eta_b)
-    some = p_signal + p_acc > 0
-    fid = ch.delivered_fidelity(
-        np.where(some, p_signal, 1.0), np.where(some, p_acc, 0.0), chan.source.source_fidelity
-    )
-    return np.where(some, fid, math.nan)
 
 
 def _elevations(pos: np.ndarray, station: np.ndarray) -> np.ndarray:
@@ -328,6 +312,20 @@ def _arm(el: np.ndarray, altitude: float, optics) -> np.ndarray:
     )
 
 
+def _link_budget(eta_a, eta_b, p, chan: ch.ChannelParams):
+    """Delivered fidelity and sifted bits through arms of transmissivity
+    `eta_a`, `eta_b` at click probability `p`, elementwise as the scalar
+    `channel._link_budget`; NaN fidelity where no coincidence can occur."""
+    p_signal = eta_a * eta_b
+    p_acc = ch.accidental_prob(p, p, eta_a, eta_b)
+    some = p_signal + p_acc > 0
+    fid = ch.delivered_fidelity(
+        np.where(some, p_signal, 1.0), np.where(some, p_acc, 0.0), chan.source.source_fidelity
+    )
+    bits = chan.source.pair_rate * (p_signal + p_acc) * chan.basis_sift_factor
+    return np.where(some, fid, math.nan), bits
+
+
 def _best_links(config, const, stations, times, p_click, steps, sats):
     """Fine pass over candidate (step, satellite) pairs, ordered by step and
     then satellite: the link budget of every dual-visible pair, then the
@@ -345,17 +343,11 @@ def _best_links(config, const, stations, times, p_click, steps, sats):
     mask = (el_a >= config.min_elevation) & (el_b >= config.min_elevation)
     steps, sats, el_a, el_b = steps[mask], sats[mask], el_a[mask], el_b[mask]
 
-    eta_a = _arm(el_a, const.altitude, chan.optics)
-    eta_b = _arm(el_b, const.altitude, chan.optics)
-    p = p_click[steps]
-    p_signal = eta_a * eta_b
-    p_acc = ch.accidental_prob(p, p, eta_a, eta_b)
+    eta_a, eta_b = (_arm(el, const.altitude, chan.optics) for el in (el_a, el_b))
+    fid, bits = _link_budget(eta_a, eta_b, p_click[steps], chan)
     # a pair with no coincidences delivers nothing and cannot serve
-    serves = p_signal + p_acc > 0
-    if not serves.all():
-        steps, sats, p_signal, p_acc = steps[serves], sats[serves], p_signal[serves], p_acc[serves]
-    fid = ch.delivered_fidelity(p_signal, p_acc, chan.source.source_fidelity)
-    bits = chan.source.pair_rate * (p_signal + p_acc) * chan.basis_sift_factor
+    serves = ~np.isnan(fid)
+    steps, sats, fid, bits = steps[serves], sats[serves], fid[serves], bits[serves]
 
     # per step: highest fidelity, then lowest index (np.argmax's tie rule);
     # each step's pairs are one run with satellites ascending, so the first

@@ -9,11 +9,11 @@ boolean masks over those columns, so every subset keeps time order and the
 sums over it see the same values in the same order as a loop over the
 seconds would.
 
-`FidelityTrace.samples` is that column set.  It also reads as a read-only
-sequence of `LinkSample`: an int index builds one sample (Python floats,
-`None` fidelity and satellite when unlinked), a slice is another column
-set, and iteration, `len`, `==` and `+ list` behave as on a list.  The
-constructor and every function here also accept a list of `LinkSample`.
+`FidelityTrace.samples` is that column set, the one form in which the
+trace and every function here take samples.  For `perfbench`, which
+indexes and iterates them, it keeps a read-only `LinkSample` view: an int
+index builds one sample (Python floats, `None` fidelity and satellite when
+unlinked), iteration yields them in order and a slice is a column set.
 
 A policy then decides which samples to discard (fidelity threshold), how
 to partition the rest into blocks, and how many bits to sacrifice to error
@@ -80,7 +80,7 @@ def _sample(time, ring, slot, fidelity, bits) -> LinkSample:
     )
 
 
-class SampleColumns(Sequence):
+class SampleColumns:
     """Per-second samples as five read-only numpy columns in time order."""
 
     __slots__ = ("time", "ring", "slot", "fidelity", "bits")
@@ -99,18 +99,6 @@ class SampleColumns(Sequence):
             column = column.view()  # lock this view, not the caller's array
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-
-    @classmethod
-    def from_samples(cls, samples) -> SampleColumns:
-        """Columns of a `LinkSample` sequence; fidelity None becomes NaN."""
-        samples = list(samples)
-        return cls(
-            [s.time for s in samples],
-            [-1 if s.sat is None else s.sat[0] for s in samples],
-            [-1 if s.sat is None else s.sat[1] for s in samples],
-            [math.nan if s.fidelity is None else s.fidelity for s in samples],
-            [s.sifted_bits for s in samples],
-        )
 
     def columns(self) -> tuple[np.ndarray, ...]:
         return self.time, self.ring, self.slot, self.fidelity, self.bits
@@ -134,45 +122,28 @@ class SampleColumns(Sequence):
         return map(_sample, *(c.tolist() for c in self.columns()))
 
     def __eq__(self, other):
-        if isinstance(other, SampleColumns):
-            return len(self) == len(other) and all(
-                np.array_equal(a, b, equal_nan=True)
-                for a, b in zip(self.columns(), other.columns())
-            )
-        if isinstance(other, list):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        return list(self) + list(other)
-
-    def __radd__(self, other):
-        return list(other) + list(self)
+        if not isinstance(other, SampleColumns):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            np.array_equal(a, b, equal_nan=True) for a, b in zip(self.columns(), other.columns())
+        )
 
     def __repr__(self) -> str:
         return f"SampleColumns(<{len(self)} samples>)"
 
 
-def _columns(samples) -> SampleColumns:
-    return samples if isinstance(samples, SampleColumns) else SampleColumns.from_samples(samples)
-
-
 @dataclass(frozen=True)
 class FidelityTrace:
-    """Per-second link samples for one ground-station pair.
-
-    `samples` may be given as a `LinkSample` sequence; it is stored as
-    `SampleColumns`.
-    """
+    """Per-second link samples for one ground-station pair."""
 
     pair: str
     samples: SampleColumns
     horizon: float
 
     def __post_init__(self):
-        columns = _columns(self.samples)
-        object.__setattr__(self, "samples", columns)
-        if np.any(columns.time[1:] <= columns.time[:-1]):
+        if not isinstance(self.samples, SampleColumns):
+            raise TypeError(f"samples must be SampleColumns, not {type(self.samples).__name__}")
+        if np.any(self.samples.time[1:] <= self.samples.time[:-1]):
             raise ValueError("trace samples must be strictly increasing in time")
 
 
@@ -265,23 +236,21 @@ def _time_sum(values: np.ndarray) -> float:
     return float(values.sum())
 
 
-def aggregate_qber(samples) -> tuple[float, float]:
+def aggregate_qber(samples: SampleColumns) -> tuple[float, float]:
     """Total sifted bits and rate-weighted mean QBER over the linked samples."""
-    columns = _columns(samples)
-    linked = ~np.isnan(columns.fidelity)
-    fid, bits = columns.fidelity[linked], columns.bits[linked]
+    linked = ~np.isnan(samples.fidelity)
+    fid, bits = samples.fidelity[linked], samples.bits[linked]
     total = _time_sum(bits)
     if len(fid) == 0 or total <= 0.0:
         raise NoDataError("no sifted bits in sample set")
     return total, _time_sum(bits * fidelity_to_qber(fid)) / total
 
 
-def apply_threshold(samples, theta: float) -> SampleColumns:
+def apply_threshold(samples: SampleColumns, theta: float) -> SampleColumns:
     """Keep only the samples whose fidelity is >= theta."""
     if not FIDELITY_FLOOR <= theta <= 1.0:
         raise ValueError(f"threshold must be in [0.25, 1], got {theta}")
-    columns = _columns(samples)
-    return columns.select(columns.fidelity >= theta)  # NaN (no link) compares False
+    return samples.select(samples.fidelity >= theta)  # NaN (no link) compares False
 
 
 def partition(trace: FidelityTrace, policy: BlockingPolicy) -> list[SampleColumns]:
@@ -289,14 +258,13 @@ def partition(trace: FidelityTrace, policy: BlockingPolicy) -> list[SampleColumn
 
     Bucket j covers [b_j, b_{j+1}); the top bucket is closed at 1.
     """
-    columns = _columns(trace.samples)
-    fid = columns.fidelity
+    fid = trace.samples.fidelity
     buckets = []
     for lo, hi in bucket_ranges(policy):
         mask = (lo <= fid) & (fid < hi)
         if hi == 1.0:
             mask |= fid == 1.0
-        buckets.append(columns.select(mask))
+        buckets.append(trace.samples.select(mask))
     return buckets
 
 
@@ -420,16 +388,15 @@ def _threshold_sums(samples, candidates) -> list[tuple[int, float, float]]:
     """(samples kept, total bits, bits-weighted QBER sum) at each candidate
     threshold, from the sums `aggregate_qber` takes; the weighted sum is NaN
     where a kept fidelity lies outside [0.25, 1]."""
-    columns = _columns(samples)
-    linked = ~np.isnan(columns.fidelity)
-    fid, bits = columns.fidelity[linked], columns.bits[linked]
+    linked = ~np.isnan(samples.fidelity)
+    fid, bits = samples.fidelity[linked], samples.bits[linked]
     valid = (FIDELITY_FLOOR <= fid) & (fid <= 1.0)
     weighted = fidelity_to_qber(fid if valid.all() else np.where(valid, fid, math.nan))
     weighted *= bits
     sums = []
     for theta in candidates:
         if theta is None:
-            sums.append((len(columns), _time_sum(bits), _time_sum(weighted)))
+            sums.append((len(samples), _time_sum(bits), _time_sum(weighted)))
         else:
             keep = fid >= theta
             kept = int(np.count_nonzero(keep))

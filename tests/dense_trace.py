@@ -10,6 +10,7 @@ samples bit for bit.
 
 import numpy as np
 
+from sample_lists import columns_of
 from satqkd import channel as ch
 from satqkd import orbit
 from satqkd.channel import LinkSample
@@ -84,4 +85,4 @@ def dense_trace(config, pair, altitude) -> FidelityTrace:
                 )
             else:
                 samples.append(LinkSample(time=float(t), fidelity=None, sifted_bits=0.0, sat=None))
-    return FidelityTrace(pair=pair_name(pair), samples=samples, horizon=config.horizon)
+    return FidelityTrace(pair=pair_name(pair), samples=columns_of(samples), horizon=config.horizon)

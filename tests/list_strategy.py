@@ -5,7 +5,8 @@ trace's numpy columns.  These are the list-based versions they replace,
 one Python object per second; the columnar path must give the same
 outcomes bit for bit.  `reference_path()` swaps them into `strategy`, so
 the unchanged grid search (`optimize_threshold`, `evaluate_nonblock`,
-`evaluate_block`, `harness.threshold_sweep`) runs on them.
+`evaluate_block`, `harness.threshold_sweep`) runs on them.  `partition`
+hands its buckets back as columns, the strategy layer's one trace type.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from unittest import mock
 
 import numpy as np
 
+from sample_lists import columns_of
 from satqkd import strategy
 from satqkd.channel import FIDELITY_FLOOR, fidelity_to_qber
 from satqkd.strategy import NoDataError
@@ -63,7 +65,7 @@ def partition(trace, policy):
             if lo <= s.fidelity < hi or (s.fidelity == hi == 1.0):
                 buckets[i].append(s)
                 break
-    return buckets[::-1]
+    return [columns_of(bucket) for bucket in buckets[::-1]]
 
 
 @contextlib.contextmanager

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import oracle
+from sample_lists import columns_of
 from satqkd import cli, harness
 from satqkd.channel import (
     ChannelParams,
@@ -70,7 +71,7 @@ def plateau_trace(spec):
         LinkSample(time=float(i), fidelity=f, sifted_bits=b, sat=(0, 0))
         for i, (f, b) in enumerate(points)
     ]
-    return FidelityTrace(pair="synthetic", samples=samples, horizon=float(len(points)))
+    return FidelityTrace(pair="synthetic", samples=columns_of(samples), horizon=float(len(points)))
 
 
 @pytest.fixture(scope="module")

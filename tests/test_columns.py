@@ -1,9 +1,9 @@
 """The columnar trace: `SampleColumns`, its strategy masks and its CSV writers.
 
 The strategy layer must give, bit for bit, the outcomes of the list-based
-reference in `list_strategy.py`; `trace.samples` must read as a sequence of
-`LinkSample` with Python scalars; the writers must produce the bytes a
-per-sample loop would.
+reference in `list_strategy.py`; a trace takes its samples only as columns,
+and `trace.samples` must read as a read-only view of `LinkSample`s with
+Python scalars; the writers must produce the bytes a per-sample loop would.
 """
 
 import math
@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from list_strategy import reference_path
+from sample_lists import columns_of
 from satqkd import harness, strategy
 from satqkd.channel import LinkSample
 from satqkd.config import config_from_dict
@@ -53,10 +54,10 @@ def outcomes(trace):
 
 
 def assert_matches_reference(samples):
-    columnar = outcomes(FidelityTrace("a-b", samples, float(len(samples))))
+    columnar = outcomes(FidelityTrace("a-b", columns_of(samples), float(len(samples))))
     with reference_path():
         assert isinstance(strategy.apply_threshold(samples, 0.5), list)
-        reference = outcomes(SimpleNamespace(pair="a-b", samples=list(samples)))
+        reference = outcomes(SimpleNamespace(pair="a-b", samples=columns_of(samples)))
     assert columnar == reference
 
 
@@ -125,9 +126,7 @@ class TestSampleView:
         assert [samples[i] for i in (0, 1234, 7199)] == [as_list[i] for i in (0, 1234, 7199)]
         part = samples[100:4000:7]
         assert isinstance(part, SampleColumns)
-        assert part == as_list[100:4000:7]
-        assert samples + as_list[:1] == as_list + as_list[:1]
-        assert as_list[:1] + samples == as_list[:1] + as_list
+        assert list(part) == as_list[100:4000:7]
         with pytest.raises(IndexError):
             samples[7200]
 
@@ -146,16 +145,20 @@ class TestSampleView:
         assert real_trace == real_trace
         again = harness.run_trace(TWO_HOURS, ("Toronto", "DC"), 500e3)
         assert again == real_trace
-        rebuilt = FidelityTrace(real_trace.pair, list(real_trace.samples), real_trace.horizon)
+        rebuilt = FidelityTrace(real_trace.pair, columns_of(real_trace.samples), real_trace.horizon)
         assert rebuilt == real_trace
-        small = make_samples([(None, 0.0), (0.9, 1.0), (None, 2.0)])
+        small = columns_of(make_samples([(None, 0.0), (0.9, 1.0), (None, 2.0)]))
         assert FidelityTrace("x", small, 3.0) == FidelityTrace("x", small, 3.0)
         assert FidelityTrace("x", small, 3.0) != FidelityTrace("x", small[:2], 3.0)
-        assert FidelityTrace("x", small, 3.0).samples == small
+
+    def test_list_of_samples_is_a_type_error(self):
+        sample = LinkSample(time=0.0, fidelity=0.9, sifted_bits=1.0, sat=(0, 0))
+        with pytest.raises(TypeError, match="SampleColumns"):
+            FidelityTrace("x", [sample], 1.0)
 
     def test_unlinked_bits_survive(self):
         samples = make_samples([(None, 5.0), (0.9, 1.0)])
-        trace = FidelityTrace("x", samples, 2.0)
+        trace = FidelityTrace("x", columns_of(samples), 2.0)
         assert trace.samples[0] == samples[0]
         assert trace.samples.bits.tolist() == [5.0, 1.0]
 
@@ -223,7 +226,7 @@ class TestPlotdataMinutes:
             for _ in range(n)
         ]
         samples = make_samples(points, step)
-        harness.emit_plotdata(FidelityTrace("x", samples, 600.0), tmp_path / "p.csv")
+        harness.emit_plotdata(FidelityTrace("x", columns_of(samples), 600.0), tmp_path / "p.csv")
         rows = plotdata_rows(tmp_path / "p.csv")
         assert [r.split(",")[0] for r in rows] == [str(m) for m in range(10)]
         assert rows == per_minute(samples)
@@ -244,5 +247,5 @@ class TestPlotdataMinutes:
         assert rows == per_minute(list(trace.samples))
 
     def test_empty_trace(self, tmp_path):
-        harness.emit_plotdata(FidelityTrace("x", [], 0.0), tmp_path / "p.csv")
+        harness.emit_plotdata(FidelityTrace("x", columns_of([]), 0.0), tmp_path / "p.csv")
         assert plotdata_rows(tmp_path / "p.csv") == []

@@ -540,6 +540,34 @@ class TestListItems:
         with pytest.raises(ConfigError, match=r"^stations\[0\]: must be an object"):
             config_from_dict({"stations": [station, STATIONS[1]], "pairs": []})
 
+    @pytest.mark.parametrize("char", [",", "-", ":", "/", "\\"])
+    def test_cli_exits_2_on_station_name_with(self, char, tmp_path, capsys):
+        """A name goes into results rows, pair names and file names, so none
+        of these characters may split or redirect them."""
+        name = f"To{char}ronto"
+        doc = {
+            "stations": [STATIONS[0], {**STATIONS[1], "name": name}],
+            "pairs": [[name, "DC"]],
+            "horizon_s": 600.0,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"config error: stations: bad station name {name!r}" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("name", ["", "Tor\tonto", "Tor\nonto", "\x00", 5, None])
+    def test_station_name_must_be_printable_text(self, name):
+        stations = [STATIONS[0], {**STATIONS[1], "name": name}]
+        with pytest.raises(ConfigError, match="^stations: bad station name "):
+            config_from_dict({"stations": stations, "pairs": []})
+
+    @pytest.mark.parametrize("name", ["Zürich", "São Paulo", "St. John's", "Rio (Galeão)"])
+    def test_station_names_that_stay_valid(self, name):
+        stations = [STATIONS[0], {**STATIONS[1], "name": name}]
+        config = config_from_dict({"stations": stations, "pairs": [[name, "DC"]]})
+        assert harness.pair_name(config.pairs[0]) == f"{name}-DC"
+
     @pytest.mark.parametrize("command", ["sweep", "simulate"])
     def test_cli_exits_2_on_repeated_pair(self, command, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from grid_search import reference_search
 from list_strategy import reference_path
+from sample_lists import columns_of
 from satqkd import cli, harness, strategy
 from satqkd.channel import LinkSample
 from satqkd.config import ExperimentConfig
@@ -35,11 +36,11 @@ POLICIES = [BlockingPolicy(b) for b in [(), (0.98,), (0.90, 0.98), (0.72,)]]
 
 
 def make_samples(points):
-    """LinkSamples from (fidelity, sifted_bits) points; fidelity None = no link."""
-    return [
+    """Columns of LinkSamples from (fidelity, sifted_bits) points; fidelity None = no link."""
+    return columns_of(
         LinkSample(time=float(i), fidelity=f, sifted_bits=b, sat=None if f is None else (0, i))
         for i, (f, b) in enumerate(points)
-    ]
+    )
 
 
 def attempt(search):
@@ -158,7 +159,7 @@ def test_two_hours_match_list_and_loop():
     trace = harness.run_trace(config, ("Toronto", "DC"), 500e3)
     batched = searches(trace.samples, config.grids)
     with reference_path(), reference_search():
-        loop = searches(list(trace.samples), config.grids)
+        loop = searches(trace.samples, config.grids)
     assert batched == loop
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sample_lists import columns_of
 from satqkd import channel as ch
 from satqkd import cli, harness
 from satqkd.channel import ChannelParams, LinkSample, RadianceSchedule
@@ -135,7 +136,7 @@ class TestTraceCsv:
             LinkSample(time=1.0, fidelity=None, sifted_bits=0.0, sat=None),
             LinkSample(time=2.0, fidelity=1.0, sifted_bits=9.0, sat=(0, 0)),
         ]
-        trace = FidelityTrace(pair="a-b", samples=samples, horizon=3.0)
+        trace = FidelityTrace(pair="a-b", samples=columns_of(samples), horizon=3.0)
         path = tmp_path / "t.csv"
         harness.emit_trace_csv(trace, path, meta={"config_sha256": "x" * 64})
 
@@ -152,7 +153,9 @@ class TestTraceCsv:
     def test_reemit_is_byte_identical(self, tmp_path):
         trace = FidelityTrace(
             pair="a-b",
-            samples=[LinkSample(time=0.0, fidelity=0.91234567, sifted_bits=1e7 / 3, sat=(1, 2))],
+            samples=columns_of(
+                [LinkSample(time=0.0, fidelity=0.91234567, sifted_bits=1e7 / 3, sat=(1, 2))]
+            ),
             horizon=1.0,
         )
         p1, p2 = tmp_path / "one.csv", tmp_path / "two.csv"
@@ -164,7 +167,7 @@ class TestTraceCsv:
     def test_header_and_columns(self, tmp_path):
         trace = FidelityTrace(
             pair="a-b",
-            samples=[LinkSample(time=0.0, fidelity=0.9, sifted_bits=1.0, sat=(0, 1))],
+            samples=columns_of([LinkSample(time=0.0, fidelity=0.9, sifted_bits=1.0, sat=(0, 1))]),
             horizon=1.0,
         )
         path = tmp_path / "t.csv"

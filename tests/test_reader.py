@@ -31,6 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import row_reader
+from sample_lists import columns_of
 from satqkd import cli, harness
 from satqkd.channel import LinkSample
 from satqkd.config import ConfigError
@@ -268,7 +269,7 @@ def test_times_round_trip_exactly(tmp_path, times):
         for i, t in enumerate(times)
     ]
     path = tmp_path / "t.csv"
-    harness.emit_trace_csv(FidelityTrace("a-b", samples, 1.0), path)
+    harness.emit_trace_csv(FidelityTrace("a-b", columns_of(samples), 1.0), path)
     back, _ = harness.read_trace_csv(path)
     assert back.samples.time.tobytes() == np.array(times).tobytes()
 
@@ -278,7 +279,7 @@ def test_integral_times_keep_their_bytes(tmp_path):
     times = [0.0, 1.0, 59.0, 86399.0, 99999.0, 100000.0, 999999.0]
     samples = [LinkSample(time=t, fidelity=None, sifted_bits=0.0, sat=None) for t in times]
     path = tmp_path / "t.csv"
-    harness.emit_trace_csv(FidelityTrace("a-b", samples, 1.0), path)
+    harness.emit_trace_csv(FidelityTrace("a-b", columns_of(samples), 1.0), path)
     rows = [line for line in path.read_text().splitlines() if not line.startswith("#")][1:]
     assert [row.split(",")[0] for row in rows] == [f"{t:g}" for t in times]
 

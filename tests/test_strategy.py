@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sample_lists import columns_of
 from satqkd.channel import LinkSample
 from satqkd.finite_key import SampleCounts, SecurityParams, key_length_nonblock
 from satqkd.strategy import (
@@ -36,7 +37,7 @@ def make_trace(points, pair="a-b"):
         LinkSample(time=float(i), fidelity=f, sifted_bits=b, sat=None if f is None else (0, 0))
         for i, (f, b) in enumerate(points)
     ]
-    return FidelityTrace(pair=pair, samples=samples, horizon=float(len(points)))
+    return FidelityTrace(pair=pair, samples=columns_of(samples), horizon=float(len(points)))
 
 
 def plateau_trace(spec):
@@ -52,7 +53,7 @@ class TestTraceValidation:
         good = make_trace([(0.9, 10.0), (0.8, 10.0)])
         assert len(good.samples) == 2
         with pytest.raises(ValueError):
-            FidelityTrace("x", good.samples + [good.samples[0]], 3.0)
+            FidelityTrace("x", columns_of([*good.samples, good.samples[0]]), 3.0)
 
 
 class TestBlockingPolicy:
@@ -89,7 +90,7 @@ class TestAggregateQber:
 
     def test_empty_raises(self):
         with pytest.raises(NoDataError):
-            aggregate_qber([])
+            aggregate_qber(columns_of([]))
         with pytest.raises(NoDataError):
             aggregate_qber(make_trace([(None, 0.0)]).samples)
 
@@ -206,7 +207,7 @@ class TestOptimizeThreshold:
         assert result.secret_bits > 0
 
     def test_no_data_scores_zero(self):
-        theta, rate, result, stats = optimize_threshold([], GRIDS, PARAMS)
+        theta, rate, result, stats = optimize_threshold(columns_of([]), GRIDS, PARAMS)
         assert result.secret_bits == 0
 
 
