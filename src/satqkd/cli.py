@@ -115,6 +115,7 @@ def cmd_simulate(args) -> int:
             harness.emit_trace_csv(trace, out / name, meta=cell_meta)
             harness.emit_plotdata(trace, out / f"plotdata_{name}", meta=cell_meta)
             print(f"wrote {out / name}")
+            del trace  # before the next cell's run_trace builds its work arrays
     return EXIT_OK
 
 

@@ -54,7 +54,8 @@ an integer, any other by `repr`.  `read_trace_csv` accepts this grammar:
 
 - lines end in LF, CRLF or a lone CR; the last may lack its ending;
 - a `#` line anywhere is `key=value` metadata; a blank line is an error;
-  `horizon_s`, if given, is a finite number > 0;
+  `horizon_s`, if given, is a finite number > 0, and `pair` is non-empty
+  printable text without `, : / \\`;
 - a data row is five comma-separated ASCII decimal numbers, spaces and
   tabs around each ignored; `nan`, `inf`, `_` and non-ASCII digits are not
   valid;
@@ -63,9 +64,16 @@ an integer, any other by `repr`.  `read_trace_csv` accepts this grammar:
   and fidelity in [0.25, 1];
 - time is finite and increasing, sifted_bits finite and >= 0.
 
-It parses every data row in one `np.loadtxt` call and checks them with
-vector masks; only a file that fails is walked row by row, to name the
-first bad line in a ConfigError.
+It reads the rows in blocks of about `_BLOCK` bytes of whole lines.  One
+scan of a block finds its newlines and commas: every row must hold exactly
+four commas, and a row whose first and fourth commas are adjacent has no
+link.  Runs of rows of one kind are cut out whole, and each kind is parsed
+in one `np.loadtxt` call per block, linked rows as five numbers and
+unlinked rows as time and sifted_bits.  The values are checked with vector
+masks and written into columns allocated once, so beside the file's bytes
+and the columns (40 bytes a row) the temporaries are bounded by the block.
+Only a file that fails is walked row by row, to name its first bad line in
+a ConfigError.
 """
 
 from __future__ import annotations
@@ -80,7 +88,7 @@ import numpy as np
 from . import channel as ch
 from . import orbit
 from .channel import FIDELITY_FLOOR
-from .config import ConfigError, ExperimentConfig
+from .config import _NAME_SEPARATORS, ConfigError, ExperimentConfig
 from .strategy import (
     BlockingPolicy,
     FidelityTrace,
@@ -387,6 +395,21 @@ def _rows_for_cell(
     return rows
 
 
+def _cell_outcomes(config: ExperimentConfig, pair, altitude) -> dict[str, StrategyOutcome]:
+    """Every strategy's outcome on one cell's trace, by label.  The trace
+    lives only in this call, so it is freed before the next cell's
+    `run_trace` builds its work arrays."""
+    trace = run_trace(config, pair, altitude)
+    nonblock = evaluate_nonblock(trace, config.grids, config.security)
+    blocks = [
+        evaluate_block(trace, policy, config.grids, config.security) for policy in config.policies
+    ]
+    outcomes = {"non-blockwise": nonblock, **{o.label: o for o in blocks}}
+    if blocks:
+        outcomes["best-block"] = best_outcome(blocks)
+    return outcomes
+
+
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Full sweep: every pair at every altitude, all strategies.
 
@@ -400,16 +423,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     for pair in config.pairs:
         for altitude in config.altitudes:
             try:
-                trace = run_trace(config, pair, altitude)
-                nonblock = evaluate_nonblock(trace, config.grids, config.security)
-                blocks = [
-                    evaluate_block(trace, policy, config.grids, config.security)
-                    for policy in config.policies
-                ]
-                outcomes = {"non-blockwise": nonblock, **{o.label: o for o in blocks}}
-                if blocks:
-                    outcomes["best-block"] = best_outcome(blocks)
-                rows.extend(_rows_for_cell(pair, altitude, outcomes))
+                rows.extend(_rows_for_cell(pair, altitude, _cell_outcomes(config, pair, altitude)))
             except ValueError:  # a data or domain error isolates the cell
                 rows.append(
                     ResultRow(
@@ -498,103 +512,163 @@ def read_trace_csv(path) -> tuple[FidelityTrace, dict]:
         _read_meta(line, meta, path, number - 1)
     if header != TRACE_COLUMNS.encode():
         raise ConfigError(f"{path}: not a trace CSV (bad or missing header)")
-    body = text[start:]
-    del text  # one copy of the file at a time keeps peak memory down
-    samples = _parse_rows(body, number, meta, path)
+    samples = _parse_rows(text, start, number, meta, path)
     horizon = float(meta.get("horizon_s", samples.time[-1] + 1 if len(samples) else 0))
     return FidelityTrace(pair=meta.get("pair", "unknown"), samples=samples, horizon=horizon), meta
 
 
 # What the bulk parser strips around a number; the row check strips the same.
 _BLANK = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
-_NO_LINK = b",,,,"  # empty sat_ring, sat_slot and fidelity
+_BLOCK = 1 << 17  # bytes of lines parsed at a time; bounds the reader's temporaries
+_LF, _COMMA, _HASH = b"\n,#"  # the byte values the structure scan looks for
+_PAIR_SEPARATORS = _NAME_SEPARATORS - {"-"}  # `optimize` puts the pair in a file name
 _ROW_RULE = (
     "need finite increasing time_s, finite sifted_bits >= 0, integral sat_ring and "
     "sat_slot >= 0 and fidelity in [0.25, 1]"
 )
 
 
-def _parse_rows(body: bytes, first: int, meta: dict, path) -> SampleColumns:
-    """The data rows of a trace CSV, `body` from line `first` on (LF endings),
-    in the grammar of the module docstring; `#` lines go into `meta`.
+def _parse_rows(text: bytes, start: int, first: int, meta: dict, path) -> SampleColumns:
+    """The data rows of a trace CSV: the lines of `text` (LF endings) from
+    offset `start` on, the first of them line `first`, in the grammar of the
+    module docstring; `#` lines go into `meta`.
 
-    Each empty triple becomes `-1,-1,nan` and one `np.loadtxt` call parses
-    every row; a literal `-1,-1,nan` row is caught by counting the empty
-    triples.  Only when the bulk check fails is the body walked row by row,
-    to name the first bad line.
+    The lines are parsed in blocks of about `_BLOCK` bytes (`_parse_block`)
+    into columns allocated once, so no temporary grows with the file.  Only
+    when a block fails is the body walked row by row, to name the first bad
+    line; a bad `#` line is named once every row before it has passed.
     """
-    rows = body
-    if rows.startswith(b"#") or b"\n#" in rows:  # metadata among the rows
-        lines = rows.split(b"\n")
-        for number, line in enumerate(lines, start=first):
-            if line.startswith(b"#"):
-                _read_meta(line, meta, path, number)
-        rows = b"\n".join(line for line in lines if not line.startswith(b"#"))
+    size = text.count(b"\n", start) + 1  # lines, so at least the rows
+    out = [np.empty(size, dtype) for dtype in (float, np.int64, np.int64, float, float)]
+    body, number, rows, previous = start, first, 0, -math.inf
+    while start < len(text):
+        stop = text.find(b"\n", start + _BLOCK)
+        stop = len(text) if stop < 0 else stop + 1
+        block = memoryview(text)[start:stop]
+        ends = _line_ends(block)
+        is_note = np.frombuffer(block, np.uint8)[np.concatenate(([0], ends[:-1]))] == _HASH
+        notes = []
+        if is_note.any():  # `#` lines among the rows: parse the rows without them
+            note_text, block = _split(block, ends, is_note)
+            notes = zip((number + np.flatnonzero(is_note)).tolist(), note_text.split(b"\n"))
+            ends = _line_ends(block)
+        n = _parse_block(block, ends, previous, [column[rows:] for column in out])
+        if n is None:
+            raise _bad_row(text[body:], first, meta, path)
+        for line_number, line in notes:
+            _read_meta(line, meta, path, line_number)
+        number, rows, start = number + len(is_note), rows + n, stop
+        previous = out[0][rows - 1] if rows else previous
+    return SampleColumns(*(column[:rows] for column in out))
+
+
+def _line_ends(block) -> np.ndarray:
+    """The offset past each line of `block`; the last line may lack its LF."""
+    data = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(data == _LF) + 1
+    if len(data) and not (len(ends) and ends[-1] == len(data)):
+        ends = np.append(ends, len(data))
+    return ends
+
+
+def _split(block, ends, mask) -> tuple[bytes, bytes]:
+    """The lines of `block` where `mask` holds and where it does not, each
+    joined from whole runs of consecutive lines."""
+    cut = np.flatnonzero(mask[1:] != mask[:-1]) + 1
+    edges = [0, *ends[cut - 1].tolist(), len(block)]
+    runs = [block[a:b] for a, b in zip(edges, edges[1:])]
+    first, other = b"".join(runs[0::2]), b"".join(runs[1::2])
+    return (first, other) if mask[0] else (other, first)
+
+
+def _parse_block(block, ends, previous: float, out: list) -> int | None:
+    """Parse the data lines of `block`, which end at `ends` and follow a row
+    at time `previous`, into the head of each `out` column; returns the
+    number of rows, or None when a row breaks the grammar.
+
+    One scan finds the commas: the k-th four must lie in the k-th line, so
+    every row has exactly four (a blank line has none).  A row whose first
+    and fourth commas are adjacent has no link.  Each kind is parsed in one
+    `np.loadtxt` call, linked rows as five numbers and unlinked rows as time
+    and bits, and scattered into the columns after the checks.
+    """
+    n = len(ends)
+    if not n:
+        return 0
+    commas = np.flatnonzero(np.frombuffer(block, np.uint8) == _COMMA)
+    if len(commas) != 4 * n or (commas[4::4] < ends[:-1]).any() or (commas[3::4] >= ends).any():
+        return None
+    no_link = commas[3::4] - commas[0::4] == 3  # empty sat_ring, sat_slot and fidelity
+    link = ~no_link
+    linked, unlinked = _split(block, ends, link)
+    try:
+        table, short = _table(linked, None), _table(unlinked, (0, 4))
+    except ValueError:
+        return None
+    if not _links_ok(*table.T[1:4]).all():
+        return None
+    time, ring, slot, fidelity, bits = (column[:n] for column in out)
+    time[link], time[no_link] = table[:, 0], short[:, 0]
+    bits[link], bits[no_link] = table[:, 4], short[:, 1]
+    if not _rows_ok(time, bits, np.concatenate(([previous], time[:-1]))).all():
+        return None
+    ring[link], slot[link], fidelity[link] = table[:, 1], table[:, 2], table[:, 3]
+    ring[no_link] = slot[no_link] = -1
+    fidelity[no_link] = np.nan
+    return n
+
+
+def _table(rows: bytes, usecols) -> np.ndarray:
+    """`rows` parsed as comma-separated ASCII numbers (ValueError if they
+    are not), all five columns or just `usecols`."""
+    width = 5 if usecols is None else len(usecols)
     if not rows:
-        return SampleColumns([], [], [], [], [])
-    n = rows.count(b"\n") + (not rows.endswith(b"\n"))
-    table = None
-    # np.loadtxt skips blank lines and decodes bytes as latin-1, so neither may reach it
-    if rows.isascii() and not (rows.startswith(b"\n") or b"\n\n" in rows):
-        try:
-            table = np.loadtxt(
-                io.BytesIO(rows.replace(_NO_LINK, b",-1,-1,nan,")),
-                delimiter=",", comments=None, ndmin=2,
-            )
-        except ValueError:
-            pass
-    if table is not None and table.shape == (n, 5):
-        time, ring, slot, fidelity, bits = table.T
-        previous = np.concatenate(([-np.inf], time[:-1]))
-        no_link = slot == -1
-        if (
-            _rows_ok(time, ring, slot, fidelity, bits, previous, no_link).all()
-            and np.count_nonzero(no_link) == rows.count(_NO_LINK)
-        ):
-            return SampleColumns(
-                time.copy(), ring.astype(np.int64), slot.astype(np.int64), fidelity.copy(),
-                bits.copy(),
-            )
-    raise _bad_row(body, first, path)
+        return np.empty((0, width))
+    # np.loadtxt decodes bytes as latin-1, so a non-ASCII byte must not reach it
+    if not rows.isascii():
+        raise ValueError("non-ASCII bytes")
+    return np.loadtxt(io.BytesIO(rows), delimiter=",", comments=None, ndmin=2, usecols=usecols)
 
 
-def _rows_ok(time, ring, slot, fidelity, bits, previous, no_link):
-    """The row rules of `_parse_rows`, elementwise; `no_link` marks an empty
-    triple, read as ring and slot -1 and fidelity NaN."""
-    linked = (FIDELITY_FLOOR <= fidelity) & (fidelity <= 1.0)
+def _rows_ok(time, bits, previous):
+    """The rule on every row's time and sifted_bits, elementwise."""
+    return (previous < time) & (time < np.inf) & (0.0 <= bits) & (bits < np.inf)
+
+
+def _links_ok(ring, slot, fidelity):
+    """The rule on a linked row's sat_ring, sat_slot and fidelity, elementwise."""
+    ok = (FIDELITY_FLOOR <= fidelity) & (fidelity <= 1.0)
     for index in (ring, slot):
-        linked &= (0 <= index) & (index < 2.0**53) & (np.trunc(index) == index)
-    return (
-        (previous < time) & (time < np.inf) & (0.0 <= bits) & (bits < np.inf)
-        & np.where(no_link, (ring == -1) & np.isnan(fidelity), linked)
-    )
+        ok &= (0 <= index) & (index < 2.0**53) & (np.trunc(index) == index)
+    return ok
 
 
-def _bad_row(body: bytes, first: int, path) -> ConfigError:
-    """The error naming the first row of `body` that `_parse_rows` rejects."""
+def _bad_row(body: bytes, first: int, meta: dict, path) -> ConfigError:
+    """The error naming the first line of `body`, line `first` on, that
+    `_parse_rows` rejects; `#` lines go into `meta` on the way."""
     lines = body.split(b"\n")
     if body.endswith(b"\n"):
         lines.pop()
     previous = -math.inf
     for number, line in enumerate(lines, start=first):
         if line.startswith(b"#"):
+            _read_meta(line, meta, path, number)
             continue
         fields = line.split(b",")
         no_link = len(fields) == 5 and fields[1] == fields[2] == fields[3] == b""
         try:
             if len(fields) != 5 or not line.isascii() or b"_" in line:
                 raise ValueError
-            if no_link:
-                fields[1:4] = b"-1", b"-1", b"nan"
-            values = [float(field.strip(_BLANK)) for field in fields]
+            values = [float(field.strip(_BLANK)) for field in (fields[::4] if no_link else fields)]
         except ValueError:
             return ConfigError(
                 f"{path}: line {number}: need five comma-separated ASCII decimal numbers "
                 "(sat_ring, sat_slot and fidelity empty for no link)"
             )
-        if not _rows_ok(*values, previous, no_link):
+        time, bits = values[0], values[-1]
+        if not (_rows_ok(time, bits, previous) and (no_link or _links_ok(*values[1:4]))):
             return ConfigError(f"{path}: line {number}: {_ROW_RULE}")
-        previous = values[0]
+        previous = time
     return ConfigError(f"{path}: malformed trace rows")
 
 
@@ -604,8 +678,9 @@ def _decode(line: bytes) -> str:
 
 
 def _read_meta(line: bytes, meta: dict, path, number: int) -> None:
-    """Add a `#` line to `meta`; a horizon_s that is not a finite number > 0
-    is a ConfigError naming the line."""
+    """Add a `#` line to `meta`; a horizon_s that is not a finite number > 0,
+    or a pair that breaks the station-name rule (`-` allowed, as it joins
+    the two names), is a ConfigError naming the line."""
     _meta(_decode(line), meta)
     if "horizon_s" in meta:
         try:
@@ -614,6 +689,11 @@ def _read_meta(line: bytes, meta: dict, path, number: int) -> None:
             horizon = math.nan
         if not 0.0 < horizon < math.inf:
             raise ConfigError(f"{path}: line {number}: horizon_s must be a finite number > 0")
+    pair = meta.get("pair")
+    if pair is not None and not (pair.isprintable() and pair and not _PAIR_SEPARATORS & set(pair)):
+        raise ConfigError(
+            f"{path}: line {number}: pair must be non-empty printable text without , : / or \\"
+        )
 
 
 def _meta(line: str, meta: dict) -> None:

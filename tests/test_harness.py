@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +367,29 @@ class TestCellIsolation:
         assert [(r.pair, r.altitude_m, r.strategy, r.secret_bits) for r in rows] == [
             ("Toronto-DC", 500e3, "NA", 0)
         ]
+
+
+def test_each_cell_trace_dies_with_its_cell(tmp_path, monkeypatch):
+    """`run_experiment` and `simulate` free a cell's trace before the next
+    cell's `run_trace`, so two cells' columns are never alive at once."""
+    earlier = []
+    real = harness.run_trace
+
+    def checked(config, pair, altitude):
+        assert all(ref() is None for ref in earlier), "an earlier cell's trace is alive"
+        trace = real(config, pair, altitude)
+        earlier.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(harness, "run_trace", checked)
+    doc = {**SMALL_CONFIG, **FAST_GRIDS, "altitudes_m": [500000.0, 1300000.0], "horizon_s": 600.0}
+    harness.run_experiment(config_from_dict(doc))
+    assert len(earlier) == 2
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(doc))
+    earlier.clear()
+    assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert len(earlier) == 2
 
 
 # A valid trace CSV; its data rows sit on lines 4 to 6.

@@ -24,6 +24,7 @@ import json
 import locale
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,12 +43,15 @@ ENDINGS = ["\n", "\r\n", "\r"]
 ENCODING = locale.getpreferredencoding(False)
 
 
-def read_both(path):
-    """Both readers' results, or the line each one's ConfigError names."""
+def read_both(path, block=None):
+    """Both readers' results, or the line each one's ConfigError names.  With
+    `block`, the bulk reader parses that many bytes of lines at a time, so
+    that a small file crosses block boundaries."""
+    block = block or harness._BLOCK
     out = []
     for reader in (harness.read_trace_csv, row_reader.read_trace_csv):
         try:
-            with warnings.catch_warnings():
+            with warnings.catch_warnings(), mock.patch.object(harness, "_BLOCK", block):
                 warnings.simplefilter("error")
                 out.append(reader(path))
         except ConfigError as exc:
@@ -89,16 +93,21 @@ def _number(draw, value, formats):
 
 @st.composite
 def trace_rows(draw, min_rows=0):
-    """Valid data rows: linked and unlinked, `.6f` and repr floats, fidelity
-    on 0.25 and 1.0, integral times as integers."""
-    n = draw(st.integers(min_rows, 25))
+    """Valid data rows in runs of one kind, linked or unlinked, of 1 to 40
+    rows each, so that files of one kind only and long runs of each occur;
+    `.6f` and repr floats, fidelity on 0.25 and 1.0, integral times as
+    integers."""
+    runs = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 40)), max_size=3))
+    missing = min_rows - sum(length for _, length in runs)
+    if missing > 0:
+        runs.append((draw(st.booleans()), missing))
     time = draw(st.sampled_from([0.0, 99999.5, 1e6 - 1, 12.25]))
     rows = []
-    for _ in range(n):
+    for no_link in (kind for kind, length in runs for _ in range(length)):
         time_text = f"{time:.0f}" if time.is_integer() else _number(draw, time, ["repr", ".6f"])
         bits = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e9)))
         bits_text = _number(draw, bits, ["repr", ".6f", "g"])
-        if draw(st.booleans()):
+        if no_link:
             rows.append(f"{time_text},,,,{bits_text}")
         else:
             ring, slot = draw(st.integers(0, 40)), draw(st.integers(0, 40))
@@ -134,12 +143,16 @@ def trace_lines(draw, min_rows=0):
 line_endings = st.lists(st.sampled_from(ENDINGS), min_size=1, max_size=3)
 
 
+# the default block, or blocks of one line, a few lines and a few dozen
+block_sizes = st.sampled_from([None, 1, 30, 200])
+
+
 @settings(max_examples=100, deadline=None)
-@given(drawn=trace_lines(), endings=line_endings, final=st.booleans())
-def test_valid_files_read_as_the_reference(tmp_path_factory, drawn, endings, final):
+@given(drawn=trace_lines(), endings=line_endings, final=st.booleans(), block=block_sizes)
+def test_valid_files_read_as_the_reference(tmp_path_factory, drawn, endings, final, block):
     lines, _ = drawn
     path = write(tmp_path_factory.mktemp("valid") / "t.csv", lines, endings, final)
-    got, want = read_both(path)
+    got, want = read_both(path, block)
     assert not isinstance(want, (int, str)), f"reference rejected line {want}"
     assert_same_trace(got, want)
 
@@ -148,7 +161,11 @@ def _corrupt(draw, lines, data):
     """Corrupt one data row; returns the new lines and the bad line's index."""
     index = draw(st.sampled_from(data))
     fields = lines[index].split(",")
-    kind = draw(st.sampled_from(["field", "drop", "extra", "blank", "no-link", "split", "time"]))
+    kind = draw(
+        st.sampled_from(
+            ["field", "drop", "extra", "blank", "no-link", "split", "time", "blank-middle", "five"]
+        )
+    )
     lines = list(lines)
     if kind == "field":
         column = draw(st.integers(0, 4))
@@ -169,6 +186,12 @@ def _corrupt(draw, lines, data):
         lines[index] = f"{fields[0]},-1,-1,nan,{fields[4]}"
     elif kind == "split":  # `1,,,,` then `,,,,2` must not merge into one row
         lines[index : index + 1] = [f"{fields[0]},,,,", f",,,,{fields[4]}"]
+    elif kind == "blank-middle":  # `12, ,,,0.0` is neither an empty triple nor a link
+        middle = ["", "", ""]
+        middle[draw(st.integers(0, 2))] = draw(st.sampled_from([" ", "\t"]))
+        lines[index] = ",".join([fields[0], *middle, fields[4]])
+    elif kind == "five":  # `12,,,,,0.0`: five commas
+        lines[index] = f"{fields[0]},,,,,{fields[4]}"
     else:
         previous = [i for i in data if i < index]
         fields[0] = lines[previous[-1]].split(",")[0] if previous else "-inf"
@@ -177,9 +200,9 @@ def _corrupt(draw, lines, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), endings=line_endings, final=st.booleans())
-@example(data=None, endings=["\n"], final=True)
-def test_corrupted_files_fail_at_the_same_line(tmp_path_factory, data, endings, final):
+@given(data=st.data(), endings=line_endings, final=st.booleans(), block=block_sizes)
+@example(data=None, endings=["\n"], final=True, block=None)
+def test_corrupted_files_fail_at_the_same_line(tmp_path_factory, data, endings, final, block):
     if data is None:  # the explicit `1,,,,` / `,,,,2` pair
         lines = [harness.TRACE_COLUMNS, "0,,,,1.0", "1,,,,", ",,,,2", "2,0,0,0.9,1.0"]
         index = 2
@@ -187,7 +210,7 @@ def test_corrupted_files_fail_at_the_same_line(tmp_path_factory, data, endings, 
         lines, rows = data.draw(trace_lines(min_rows=2))
         lines, index = _corrupt(data.draw, lines, rows)
     path = write(tmp_path_factory.mktemp("bad") / "t.csv", lines, endings, final)
-    got, want = read_both(path)
+    got, want = read_both(path, block)
     assert isinstance(want, int), "the reference accepted a corrupted file"
     assert got == want == index + 1
 
@@ -219,6 +242,59 @@ def test_header_only_files(tmp_path, ending):
 def test_fixed_bad_files(tmp_path, lines, bad):
     got, want = read_both(write(tmp_path / "t.csv", lines, ["\n"]))
     assert got == want == bad
+
+
+@pytest.mark.parametrize("block", [1, 10])
+def test_blocks_join_up(tmp_path, block):
+    """A block's first row must come after the previous block's last row,
+    and a `#` line keeps its number after blocks that held `#` lines; both
+    block sizes start a block at line 4."""
+    lines = [harness.TRACE_COLUMNS, "0,,,,1", "1,0,0,0.9,1", "1,,,,1", "2,0,0,0.9,1"]
+    got, want = read_both(write(tmp_path / "t.csv", lines, ["\n"]), block)
+    assert got == want == 4
+    lines = [harness.TRACE_COLUMNS, "# x=1", "0,,,,1", "# y=2", "1,0,0,0.9,1", "# horizon_s=-1"]
+    path = write(tmp_path / "n.csv", lines, ["\n"])
+    with mock.patch.object(harness, "_BLOCK", block):
+        with pytest.raises(ConfigError, match="line 6: horizon_s"):
+            harness.read_trace_csv(path)
+
+
+def test_rows_alternating_in_kind_read_as_the_reference(tmp_path):
+    """20,000 rows whose kind alternates every row, the most runs a block can
+    hold, with `#` lines among them and blocks of the default size."""
+    lines = [harness.TRACE_COLUMNS]
+    for t in range(20000):
+        if t % 997 == 5:
+            lines.append(f"# note{t}=,,,,")
+        bits = repr(t * 0.75)
+        if t % 2:
+            lines.append(f"{t},{t % 40},{t % 7},{0.25 + t / 40000!r},{bits}")
+        else:
+            lines.append(f"{t},,,,{bits}")
+    path = write(tmp_path / "t.csv", lines, ["\n"], final=False)
+    assert path.stat().st_size > 2 * harness._BLOCK
+    got, want = read_both(path)
+    assert_same_trace(got, want)
+    assert len(got[0].samples) == 20000
+
+
+@pytest.mark.parametrize("pair", ["a,b", "a:b", "a/b", "a\\b", "x/../../escaped", "", "a\x07b"])
+@pytest.mark.parametrize("among_rows", [False, True])
+def test_bad_pair_exits_2_and_writes_nothing(tmp_path, capsys, pair, among_rows):
+    """A `# pair=` that breaks the station-name rule (`-` allowed) is a
+    config error naming its line, and `optimize`, which names its output
+    file after the pair, writes nothing."""
+    lines = [harness.TRACE_COLUMNS, "0,1,2,0.95,1000.0", "1,1,2,0.96,2000.0"]
+    lines.insert(3 if among_rows else 0, f"# pair={pair}")
+    trace = write(tmp_path / "t.csv", lines, ["\n"])
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(FAST_GRIDS))
+    out = tmp_path / "out"
+    (out / "optimize_x").mkdir(parents=True)  # lets `x/../../escaped` resolve
+    argv = ["optimize", "--config", str(config), "--trace", str(trace), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert f"line {4 if among_rows else 1}: pair" in capsys.readouterr().err
+    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == sorted([config, trace])
 
 
 @pytest.mark.parametrize("junk", [b"\xa0", b"\x85", b"\xc2\xa0"])
