@@ -21,22 +21,17 @@ from pathlib import Path
 
 from . import harness
 from .config import ConfigError, ExperimentConfig, load_config
-from .strategy import (
-    BlockingPolicy,
-    best_outcome,
-    evaluate_block,
-    evaluate_nonblock,
-    improvement,
-)
+from .strategy import BlockingPolicy, evaluate_block, improvement
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
-def _add_common(parser: argparse.ArgumentParser, trace: bool = False):
+def _add_common(parser: argparse.ArgumentParser, trace: bool = False, out: bool = True):
     parser.add_argument("--config", help="JSON config file (defaults built in)")
-    parser.add_argument("--out", default=".", help="output directory")
+    if out:
+        parser.add_argument("--out", default=".", help="output directory")
     if trace:
         parser.add_argument("--trace", required=True, help="trace CSV to analyze")
     else:
@@ -62,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("keyrate", help="key length of a trace under one strategy")
-    _add_common(p, trace=True)
+    _add_common(p, trace=True, out=False)
     p.add_argument(
         "--boundaries", default="",
         help="comma-separated block boundaries, e.g. 0.90,0.98 (empty: non-blockwise)",
@@ -72,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, trace=True)
 
     p = sub.add_parser("compare", help="blockwise vs non-blockwise on a trace")
-    _add_common(p, trace=True)
+    _add_common(p, trace=True, out=False)
 
     p = sub.add_parser("sweep", help="full pairs x altitudes experiment")
     _add_common(p)
@@ -135,7 +130,7 @@ def cmd_keyrate(args) -> int:
     outcome = evaluate_block(trace, policy, config.grids, config.security)
     print(f"pair={trace.pair} strategy={outcome.label} secret_bits={outcome.secret_bits}")
     for b in outcome.per_block:
-        theta = "none" if b.threshold is None else f"{b.threshold:g}"
+        theta = harness.format_threshold(b.threshold)
         rate = "none" if b.sampling_rate is None else f"{b.sampling_rate:.6g}"
         print(
             f"  block [{b.fidelity_lo:g},{b.fidelity_hi:g}) bits={b.block_bits} "
@@ -165,17 +160,13 @@ def cmd_optimize(args) -> int:
 def cmd_compare(args) -> int:
     config = _resolve(args)
     trace, _ = harness.read_trace_csv(args.trace)
-    nonblock = evaluate_nonblock(trace, config.grids, config.security)
-    print(f"non-blockwise secret_bits={nonblock.secret_bits}")
-    outcomes = [
-        evaluate_block(trace, policy, config.grids, config.security)
-        for policy in sorted(config.policies, key=lambda p: p.n_blocks)
-    ]
-    for outcome in outcomes:
+    outcomes = harness.strategy_outcomes(trace, config)
+    best = outcomes.pop("best-block", None)
+    # non-blockwise (one block) first, then the policies by block count
+    for outcome in sorted(outcomes.values(), key=lambda o: len(o.per_block)):
         print(f"{outcome.label} secret_bits={outcome.secret_bits}")
-    if outcomes:  # with no policies there is nothing to choose, as in `sweep`
-        best = best_outcome(outcomes)
-        imp = improvement(best.secret_bits, nonblock.secret_bits)
+    if best is not None:  # with no policies there is nothing to choose, as in `sweep`
+        imp = improvement(best.secret_bits, outcomes["non-blockwise"].secret_bits)
         print(f"best={best.label} improvement={harness.format_improvement(imp)}")
     return EXIT_OK
 

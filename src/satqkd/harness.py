@@ -90,7 +90,6 @@ from . import orbit
 from .channel import FIDELITY_FLOOR
 from .config import _NAME_SEPARATORS, ConfigError, ExperimentConfig
 from .strategy import (
-    BlockingPolicy,
     FidelityTrace,
     SampleColumns,
     StrategyOutcome,
@@ -367,13 +366,6 @@ def _best_links(config, const, stations, times, p_click, steps, sats):
     return steps[lead], sats[lead], fid[lead], bits[lead]
 
 
-def _threshold_summary(outcome: StrategyOutcome) -> str:
-    def fmt(theta):
-        return "none" if theta is None else f"{theta:g}"
-
-    return "|".join(fmt(b.threshold) for b in outcome.per_block)
-
-
 def _rows_for_cell(
     pair: tuple[str, str], altitude: float, outcomes: dict[str, StrategyOutcome]
 ) -> list[ResultRow]:
@@ -387,7 +379,7 @@ def _rows_for_cell(
                 altitude_m=altitude,
                 strategy=label,
                 secret_bits=outcome.secret_bits,
-                threshold=_threshold_summary(outcome),
+                threshold="|".join(format_threshold(b.threshold) for b in outcome.per_block),
                 improvement_pct=imp,
                 normalized_bits=0.0,  # filled in by normalization
             )
@@ -395,11 +387,13 @@ def _rows_for_cell(
     return rows
 
 
-def _cell_outcomes(config: ExperimentConfig, pair, altitude) -> dict[str, StrategyOutcome]:
-    """Every strategy's outcome on one cell's trace, by label.  The trace
-    lives only in this call, so it is freed before the next cell's
-    `run_trace` builds its work arrays."""
-    trace = run_trace(config, pair, altitude)
+def strategy_outcomes(
+    trace: FidelityTrace, config: ExperimentConfig
+) -> dict[str, StrategyOutcome]:
+    """Every strategy's outcome on a trace, by label: non-blockwise, each
+    policy in config order, then "best-block", the policies'
+    `best_outcome`, when there are any.  `sweep` and `compare` both take
+    their keys from here."""
     nonblock = evaluate_nonblock(trace, config.grids, config.security)
     blocks = [
         evaluate_block(trace, policy, config.grids, config.security) for policy in config.policies
@@ -417,13 +411,16 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     ConfigError) in a single (pair, altitude) cell becomes an NA row and the
     sweep continues; any other exception is a bug and propagates.  Rows come
     out in (pair, altitude, strategy) order with normalized_bits filled per
-    altitude group; "best-block" is the policies' `best_outcome`.
+    altitude group (strategies of `strategy_outcomes`).  Each cell's trace
+    is a temporary, freed before the next cell's `run_trace` builds its
+    work arrays.
     """
     rows: list[ResultRow] = []
     for pair in config.pairs:
         for altitude in config.altitudes:
             try:
-                rows.extend(_rows_for_cell(pair, altitude, _cell_outcomes(config, pair, altitude)))
+                outcomes = strategy_outcomes(run_trace(config, pair, altitude), config)
+                rows.extend(_rows_for_cell(pair, altitude, outcomes))
             except ValueError:  # a data or domain error isolates the cell
                 rows.append(
                     ResultRow(
@@ -705,6 +702,10 @@ def _meta(line: str, meta: dict) -> None:
 
 def format_improvement(imp: float | None) -> str:
     return "NA" if imp is None else f"{imp:.6f}"
+
+
+def format_threshold(theta: float | None) -> str:
+    return "none" if theta is None else f"{theta:g}"
 
 
 def emit_results_csv(rows: list[ResultRow], path, meta: dict | None = None) -> None:

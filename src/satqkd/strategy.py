@@ -485,20 +485,17 @@ def evaluate_block(
 
     Within each bucket, threshold candidates are the grid points that fall
     inside the bucket's fidelity range; buckets entirely above the grid are
-    distilled without a discard step.
+    distilled without a discard step.  A policy with no boundaries is
+    non-blockwise: the outcome is `evaluate_nonblock`'s, raising where it
+    raises.
     """
-    buckets = partition(trace, policy)
+    if not policy.boundaries:
+        return evaluate_nonblock(trace, grids, params)
     per_block = []
-    total = 0
-    for bucket_samples, fid_range in zip(buckets, bucket_ranges(policy)):
-        lo, hi = fid_range
-        if policy.boundaries:
-            local = tuple(t for t in grids.thresholds if lo <= t < hi)
-        else:
-            local = tuple(grids.thresholds)
-        block = _bucket_outcome(bucket_samples, fid_range, grids, params, local)
-        per_block.append(block)
-        total += block.secret_bits
+    for bucket_samples, (lo, hi) in zip(partition(trace, policy), bucket_ranges(policy)):
+        local = tuple(t for t in grids.thresholds if lo <= t < hi)
+        per_block.append(_bucket_outcome(bucket_samples, (lo, hi), grids, params, local))
+    total = sum(block.secret_bits for block in per_block)
     return StrategyOutcome(secret_bits=total, per_block=per_block, label=policy.label)
 
 

@@ -4,7 +4,7 @@
 checks them with vector masks.  This is the row-by-row reader it replaces;
 on every file both accept, both must return bit-identical columns, `meta`,
 `pair` and `horizon`, and on a file both reject, both must name the same
-line.
+line.  The metadata rules are restated here (`_check_meta`), not imported.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ def read_trace_csv(path) -> tuple[FidelityTrace, dict]:
         for number, line in enumerate(fh, start=1):
             if line.startswith("#"):
                 _meta(line, meta)
+                _check_meta(meta, path, number)
                 continue
             if header is None:
                 header = line.rstrip("\r\n")
@@ -70,3 +71,19 @@ def read_trace_csv(path) -> tuple[FidelityTrace, dict]:
     horizon = float(meta.get("horizon_s", times[-1] + 1 if times else 0))
     samples = SampleColumns(times, rings, slots, fids, bitss)
     return FidelityTrace(pair=meta.get("pair", "unknown"), samples=samples, horizon=horizon), meta
+
+
+def _check_meta(meta: dict, path, number: int) -> None:
+    """A horizon_s must be a finite number > 0, and a pair non-empty
+    printable text without `,`, `:`, `/` or `\\`; the line that breaks
+    either rule is named."""
+    if "horizon_s" in meta:
+        try:
+            horizon = float(meta["horizon_s"])
+        except ValueError:
+            horizon = math.nan
+        if not (horizon > 0.0 and math.isfinite(horizon)):
+            raise ConfigError(f"{path}: line {number}: horizon_s must be a finite number > 0")
+    pair = meta.get("pair")
+    if pair is not None and (pair == "" or not pair.isprintable() or set(pair) & set(",:/\\")):
+        raise ConfigError(f"{path}: line {number}: bad pair {pair!r}")

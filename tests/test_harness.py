@@ -21,7 +21,7 @@ from satqkd.config import (
     config_from_dict,
     load_config,
 )
-from satqkd.strategy import FidelityTrace, NoDataError
+from satqkd.strategy import FidelityTrace, NoDataError, SampleColumns
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -279,6 +279,16 @@ class TestCli:
         assert "3-block secret_bits=" in out
         assert "best=" in out and "improvement=" in out
 
+    @pytest.mark.parametrize("command", ["keyrate", "compare"])
+    def test_out_is_not_an_option(self, command, small_trace_dir, tmp_path, capsys):
+        """`keyrate` and `compare` write no file, so `--out` is a usage error."""
+        trace_path = str(small_trace_dir / "trace_Toronto-DC_500000.csv")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--trace", trace_path, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_sweep(self, small_config_path, tmp_path, capsys):
         rc = cli.main(["sweep", "--config", small_config_path, "--out", str(tmp_path)])
         assert rc == 0
@@ -390,6 +400,39 @@ def test_each_cell_trace_dies_with_its_cell(tmp_path, monkeypatch):
     earlier.clear()
     assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
     assert len(earlier) == 2
+
+
+def test_simulate_then_compare_gives_the_sweep_keys(tmp_path, monkeypatch, capsys):
+    """`compare` on a `simulate` CSV prints `sweep`'s key for every strategy,
+    in block order whatever the config order, and names `sweep`'s best
+    policy.  The fidelities are exact at 6 decimals, so the CSV holds the
+    trace that `sweep` distills."""
+    n = 3000
+    fid = np.random.default_rng(7).integers(750000, 1000001, n) / 1e6
+    fid[np.arange(n) % 7 == 3] = np.nan  # unlinked seconds, with bits
+    ring = np.where(np.isnan(fid), -1, 1)
+    samples = SampleColumns(np.arange(float(n)), ring, ring, fid, np.full(n, 2.5e5))
+    trace = FidelityTrace("Toronto-DC", samples, float(n))
+    monkeypatch.setattr(harness, "run_trace", lambda config, pair, altitude: trace)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**SMALL_CONFIG, "policies": [[0.90, 0.98], [0.98]]}))
+    argv = ["--config", str(config), "--out", str(tmp_path)]
+    assert cli.main(["sweep", *argv]) == cli.main(["simulate", *argv]) == 0
+    path = tmp_path / "trace_Toronto-DC_500000.csv"
+    assert harness.read_trace_csv(path)[0].samples == samples
+    results = (tmp_path / "results.csv").read_text().splitlines()
+    rows = {row[2]: row[3:6] for row in (line.split(",") for line in results[2:])}
+    assert list(rows) == ["non-blockwise", "3-block", "2-block", "best-block"]
+
+    capsys.readouterr()
+    assert cli.main(["compare", "--config", str(config), "--trace", str(path)]) == 0
+    *lines, last = capsys.readouterr().out.splitlines()
+    keys = [line.split(" secret_bits=") for line in lines]
+    assert [label for label, _ in keys] == ["non-blockwise", "2-block", "3-block"]
+    assert all(bits == rows[label][0] for label, bits in keys)
+    best, improvement = last.removeprefix("best=").split(" improvement=")
+    assert rows["best-block"] == rows[best]
+    assert improvement == rows[best][2]
 
 
 # A valid trace CSV; its data rows sit on lines 4 to 6.

@@ -157,17 +157,30 @@ def test_valid_files_read_as_the_reference(tmp_path_factory, drawn, endings, fin
     assert_same_trace(got, want)
 
 
+# `# key=value` lines that break the metadata rules
+_BAD_META = {
+    "horizon_s": ["-1", "0", "-0.0", "", "abc", "nan", "inf", "1e400"],
+    "pair": ["a,b", "a:b", "a/b", "a\\b", "x/../y", "", "a\x07b"],
+}
+
+
 def _corrupt(draw, lines, data):
-    """Corrupt one data row; returns the new lines and the bad line's index."""
+    """Corrupt one data row, or put a bad metadata line in the header or
+    among the rows; returns the new lines and the bad line's index."""
     index = draw(st.sampled_from(data))
     fields = lines[index].split(",")
     kind = draw(
         st.sampled_from(
-            ["field", "drop", "extra", "blank", "no-link", "split", "time", "blank-middle", "five"]
+            ["field", "drop", "extra", "blank", "no-link", "split", "time", "blank-middle", "five",
+             *_BAD_META]
         )
     )
     lines = list(lines)
-    if kind == "field":
+    if kind in _BAD_META:
+        header = lines.index(harness.TRACE_COLUMNS)
+        index = draw(st.sampled_from([*range(header + 1), *data]))
+        lines.insert(index, f"# {kind}={draw(st.sampled_from(_BAD_META[kind]))}")
+    elif kind == "field":
         column = draw(st.integers(0, 4))
         choices = _BAD_FIELD[column]
         if fields[1] == "" and column in (1, 2, 3):
@@ -257,6 +270,7 @@ def test_blocks_join_up(tmp_path, block):
     with mock.patch.object(harness, "_BLOCK", block):
         with pytest.raises(ConfigError, match="line 6: horizon_s"):
             harness.read_trace_csv(path)
+    assert read_both(path, block) == [6, 6]
 
 
 def test_rows_alternating_in_kind_read_as_the_reference(tmp_path):

@@ -14,6 +14,7 @@ from satqkd.strategy import (
     BlockingPolicy,
     FidelityTrace,
     NoDataError,
+    SampleColumns,
     SearchGrids,
     aggregate_qber,
     apply_threshold,
@@ -233,6 +234,18 @@ class TestEvaluate:
         assert b1.secret_bits == nb.secret_bits
         assert b1.per_block[0].threshold == nb.per_block[0].threshold
         assert b1.per_block[0].sampling_rate == nb.per_block[0].sampling_rate
+        # unlinked seconds carry bits that neither counts: the whole outcome agrees
+        gaps = make_trace([(0.99, 6e5), (None, 5e5), (0.94, 6e5), (None, 7e5), (0.8, 6e5)] * 300)
+        nb = evaluate_nonblock(gaps, GRIDS, PARAMS)
+        assert nb.secret_bits > 0
+        assert evaluate_block(gaps, BlockingPolicy(), GRIDS, PARAMS) == nb
+        # a linked fidelity outside [0.25, 1] is an error on both, not a key
+        fid = [0.95, 1.5, 0.9, 0.97]
+        bad = FidelityTrace("a-b", SampleColumns(range(4), [0] * 4, [0] * 4, fid, [1e9] * 4), 4.0)
+        with pytest.raises(ValueError, match="fidelity"):
+            evaluate_nonblock(bad, GRIDS, PARAMS)
+        with pytest.raises(ValueError, match="fidelity"):
+            evaluate_block(bad, BlockingPolicy(), GRIDS, PARAMS)
 
     def test_block_outcome_bookkeeping(self):
         out = evaluate_block(
